@@ -9,17 +9,11 @@ from .ladder import (
     normal_order,
 )
 from .moments import (
-    MomentTable,
     QuadratureSelector,
     UndefinedMomentError,
-    a1_moments_closed,
     cauchy_schwarz,
     g2,
-    moment_table,
     squeezing,
-    squeezing_symmetric_closed,
-    subpoisson_certificate,
-    transformed_mode,
 )
 from .quasiprob import (
     PFunctionSingularError,
@@ -51,7 +45,6 @@ __all__ = [
     "CoherentState",
     "InputState",
     "LadderPolynomial",
-    "MomentTable",
     "NumberState",
     "PFunctionSingularError",
     "QuadratureSelector",
@@ -61,7 +54,6 @@ __all__ = [
     "UndefinedMomentError",
     "WignerAux",
     "WindowSelectionError",
-    "a1_moments_closed",
     "bogoliubov_coeffs",
     "cauchy_schwarz",
     "char_fn",
@@ -70,14 +62,10 @@ __all__ = [
     "fock_limit_wigner",
     "g2",
     "laguerre",
-    "moment_table",
     "normal_order",
     "squeezing",
-    "squeezing_symmetric_closed",
-    "subpoisson_certificate",
     "symmetric_coeffs_closed",
     "symplectic_check",
-    "transformed_mode",
     "wigner_aux",
     "wigner_closed",
     "wigner_excited",

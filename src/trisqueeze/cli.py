@@ -19,6 +19,8 @@ TRISQUEEZE_OUTDIR redirects relative output paths.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -43,8 +45,10 @@ from .moments import (
     QuadratureSelector,
     UndefinedMomentError,
     cauchy_schwarz,
+    cauchy_schwarz_ratio,
     cross_correlation,
     g2,
+    g2_ratio,
     intensity_correlation,
     mean_photon,
     quadrature_variances,
@@ -53,6 +57,7 @@ from .moments import (
 from .quasiprob import (
     PFunctionSingularError,
     WindowSelectionError,
+    closed_form_slot,
     wigner_aux,
     wigner_closed,
     wigner_numeric,
@@ -239,28 +244,6 @@ def cmd_origin_sweep(args):
     _emit(args, _csv("r1,r2,r3,w00", rows))
 
 
-def _aux_payload(coeffs, ns, s):
-    n1, n2, n3 = ns
-    slot = None
-    if n2 == 0 and n3 == 0 and n1 > 0:
-        slot = "mode1"
-    elif n1 == 0 and n2 == 0 and n3 > 0:
-        slot = "mode3"
-    aux = wigner_aux(coeffs, s, slot=slot)
-    return {
-        "lambda1": aux.lambda1,
-        "lambda2": aux.lambda2,
-        "b": aux.b,
-        "kernel_det": aux.kernel_det,
-        "theta_plus": aux.theta_plus,
-        "theta_minus": aux.theta_minus,
-        "eta_plus": aux.eta_plus,
-        "eta_minus": aux.eta_minus,
-        "s": aux.s,
-        "slot": aux.slot,
-    }
-
-
 def _grid_metadata(xs, ys, s):
     return {
         "x": {"min": float(xs[0]), "max": float(xs[-1]), "count": int(xs.size)},
@@ -283,15 +266,16 @@ def cmd_wigner_grid(args):
     if xs.size < 2 or ys.size < 2:
         raise UsageError("--x and --y must be sweeps (start:stop:count)")
 
+    pattern = closed_form_slot(ns)
     method = args.method
     if method == "auto":
-        method = "closed" if wigner_closed(coeffs, ns, 0j, args.s) is not None else "numeric"
+        method = "closed" if pattern is not None else "numeric"
     if method == "closed":
-        values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
-        if values is None:
+        if pattern is None:
             raise UsageError(
                 "no closed form for this occupation pattern; use --method numeric"
             )
+        values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
     else:
         values = wigner_numeric(coeffs, ns, xs, ys, args.s).values
 
@@ -302,7 +286,8 @@ def cmd_wigner_grid(args):
     ]
     payload = _grid_metadata(xs, ys, args.s)
     payload["method"] = method
-    payload["aux"] = _aux_payload(coeffs, ns, args.s)
+    slot = pattern[0] if pattern is not None else None
+    payload["aux"] = dataclasses.asdict(wigner_aux(coeffs, args.s, slot=slot))
     if args.format == "json":
         payload["values"] = [float(v) for v in values.reshape(-1)]
         _emit(args, _json_text(payload))
@@ -311,6 +296,25 @@ def cmd_wigner_grid(args):
     out = _resolve_out(args.out)
     sidecar = out.with_suffix(".aux.json")
     sidecar.write_text(_json_text(payload), encoding="utf-8", newline="")
+
+
+def _moment_table(mean, intensity, cross):
+    """Report-ordered moments and the g2 and V ratios derived from them.
+
+    ``mean``, ``intensity`` and ``cross`` give <n_m>, <a_m+2 a_m2> and
+    <n_j n_k>; each of the nine is evaluated once.
+    """
+    table = {}
+    for mode in (1, 2, 3):
+        table[f"mean_n{mode}"] = mean(mode)
+        table[f"intensity_{mode}"] = intensity(mode)
+        table[f"g2_{mode}"] = g2_ratio(table[f"intensity_{mode}"], table[f"mean_n{mode}"], mode)
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        table[f"cross_n{j}n{k}"] = cross(j, k)
+        table[f"v_{j}{k}"] = cauchy_schwarz_ratio(
+            table[f"intensity_{j}"], table[f"intensity_{k}"], table[f"cross_n{j}n{k}"], j, k
+        )
+    return table
 
 
 def cmd_oracle_verify(args):
@@ -336,39 +340,22 @@ def cmd_oracle_verify(args):
             {"name": name, "analytic": analytic, "oracle": oracle, "rel_error": rel}
         )
 
-    for mode in (1, 2, 3):
+    def oracle_moment(*modes):
+        """<a_j+ a_k+ ... a_j a_k ...> of the evolved state, one power per listed mode."""
         mono = [0] * 6
-        mono[mode - 1] = 1
-        mono[mode + 2] = 1
-        record(f"mean_n{mode}", mean_photon(coeffs, state, mode),
-               oracle_expectation(evolved, mono).real)
-        mono4 = [0] * 6
-        mono4[mode - 1] = 2
-        mono4[mode + 2] = 2
-        record(f"intensity_{mode}", intensity_correlation(coeffs, state, mode),
-               oracle_expectation(evolved, mono4).real)
-        mean_o = oracle_expectation(evolved, mono).real
-        inten_o = oracle_expectation(evolved, mono4).real
-        record(f"g2_{mode}", g2(coeffs, state, mode), inten_o / mean_o ** 2 - 1.0)
-    for j, k in ((1, 2), (1, 3), (2, 3)):
-        mono = [0] * 6
-        mono[j - 1] = 1
-        mono[j + 2] = 1
-        mono[k - 1] = 1
-        mono[k + 2] = 1
-        cross_o = oracle_expectation(evolved, mono).real
-        record(f"cross_n{j}n{k}", cross_correlation(coeffs, state, j, k), cross_o)
-        inten_j = oracle_expectation(
-            evolved, [2 if m == j - 1 else 0 for m in range(3)] + [2 if m == j - 1 else 0 for m in range(3)]
-        ).real
-        inten_k = oracle_expectation(
-            evolved, [2 if m == k - 1 else 0 for m in range(3)] + [2 if m == k - 1 else 0 for m in range(3)]
-        ).real
-        record(
-            f"v_{j}{k}",
-            cauchy_schwarz(coeffs, state, j, k),
-            (inten_j * inten_k) ** 0.5 / cross_o - 1.0,
-        )
+        for mode in modes:
+            mono[mode - 1] += 1
+            mono[mode + 2] += 1
+        return oracle_expectation(evolved, mono).real
+
+    analytic = _moment_table(
+        functools.partial(mean_photon, coeffs, state),
+        functools.partial(intensity_correlation, coeffs, state),
+        functools.partial(cross_correlation, coeffs, state),
+    )
+    oracle = _moment_table(oracle_moment, lambda m: oracle_moment(m, m), oracle_moment)
+    for name, value in analytic.items():
+        record(name, value, oracle[name])
     for c1, c2 in ((0, 0), (1, 0), (1, 1)):
         sel = QuadratureSelector(c1, c2)
         var_x, var_y = quadrature_variances(coeffs, sel, state)

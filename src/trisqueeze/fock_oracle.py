@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .ladder import InputState, NumberState
+from .ladder import InputState, NumberState, _mode_index
 from .symplectic import SqueezeParams
 
 CUTOFF_MIN = 4
@@ -188,12 +188,16 @@ def apply_squeeze(
     return evolved
 
 
-def _apply_lowering(amps, axis):
+def _apply_ladder(amps, axis, raising=False):
+    """a (or a+ when ``raising``) on one axis; a+ drops what leaves the top shell."""
     moved = np.moveaxis(amps, axis, 0)
     out = np.zeros_like(moved)
     size = moved.shape[0]
     weights = np.sqrt(np.arange(1, size)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[:-1] = weights * moved[1:]
+    if raising:
+        out[1:] = weights * moved[:-1]
+    else:
+        out[:-1] = weights * moved[1:]
     return np.moveaxis(out, 0, axis)
 
 
@@ -208,9 +212,9 @@ def oracle_expectation(state: TruncatedState, monomial) -> complex:
     ket = state.amplitudes
     for axis in range(3):
         for _ in range(key[axis]):
-            bra = _apply_lowering(bra, axis)
+            bra = _apply_ladder(bra, axis)
         for _ in range(key[3 + axis]):
-            ket = _apply_lowering(ket, axis)
+            ket = _apply_ladder(ket, axis)
     return complex(np.vdot(bra, ket))
 
 
@@ -226,8 +230,8 @@ def quadrature_stats(state: TruncatedState, c1: int, c2: int):
     for axis, weight in enumerate((1.0, float(c1), float(c2))):
         if weight == 0.0:
             continue
-        lowered = _apply_lowering(amps, axis)
-        raised = _apply_raising(amps, axis)
+        lowered = _apply_ladder(amps, axis)
+        raised = _apply_ladder(amps, axis, raising=True)
         xvec += 0.5 * weight * (lowered + raised)
         yvec += -0.5j * weight * (lowered - raised)
     out = []
@@ -238,21 +242,10 @@ def quadrature_stats(state: TruncatedState, c1: int, c2: int):
     return tuple(out)
 
 
-def _apply_raising(amps, axis):
-    moved = np.moveaxis(amps, axis, 0)
-    out = np.zeros_like(moved)
-    size = moved.shape[0]
-    weights = np.sqrt(np.arange(1, size)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[1:] = weights * moved[:-1]
-    return np.moveaxis(out, 0, axis)
-
-
 def reduced_density(state: TruncatedState, mode: int) -> np.ndarray:
     """Single-mode density matrix by partial trace over the other two modes."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
     axes = [0, 1, 2]
-    axes.remove(mode - 1)
+    axes.remove(_mode_index(mode))
     return np.tensordot(state.amplitudes, state.amplitudes.conj(), axes=(axes, axes))
 
 

@@ -1,22 +1,34 @@
 """Operator-moment diagnostics of the three-mode squeezed states.
 
-Quadrature squeezing, the single-mode second-order correlation and the
-intermodal Cauchy-Schwarz ratio are all evaluated by pushing the Bogoliubov
-transform through the exact normal-ordering engine, so the same code path
-serves number states, coherent states, and symmetric or asymmetric couplings.
-The printed equal-coupling closed forms are kept alongside as fast references.
+Writing A = (a1, a2, a3, a1+, a2+, a3+), output mode j is S+ a_j S = U_j.A
+with U_j = [c_j | d_j], and its adjoint is V_j.A with V_j = [d_j | c_j].
+Every moment is then one contraction with a tensor of the input state:
+
+    <n_j> = m2[V_j, U_j],   <a_j+2 a_j2> = m4[V_j, V_j, U_j, U_j],
+    <n_j n_k> = m4[V_j, U_j, V_k, U_k],   <dX^2> = m2[x, x] - m1[x]^2,
+
+with m1[i] = <A_i>, m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l>
+built once per state by the exact normal-ordering engine (``ladder``), so one
+code path serves number states, coherent states and any couplings.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
-from .ladder import InputState, LadderPolynomial, expectation, normal_order
+import numpy as np
+
+from .ladder import InputState, LadderPolynomial, _mode_index, expectation, normal_order
 from .symplectic import BogoliubovCoeffs
 
 MEAN_PHOTON_FLOOR = 1e-12
 _HERMITIAN_IMAG_TOL = 1e-9
+
+_SYMBOLS = [LadderPolynomial.annihilator(m) for m in (1, 2, 3)]
+_SYMBOLS += [LadderPolynomial.creator(m) for m in (1, 2, 3)]
 
 
 class UndefinedMomentError(ValueError):
@@ -56,40 +68,60 @@ def _real(value, what):
     return value.real
 
 
-def transformed_mode(coeffs: BogoliubovCoeffs, mode: int) -> LadderPolynomial:
-    """Degree-1 polynomial S+ a_mode S in the input-mode ladder symbols."""
-    f1, f2, g1, g2, h1, h2 = coeffs.mode_row(mode)
-    return (
-        f1 * LadderPolynomial.annihilator(1)
-        + f2 * LadderPolynomial.creator(1)
-        + g1 * LadderPolynomial.annihilator(2)
-        + g2 * LadderPolynomial.creator(2)
-        + h1 * LadderPolynomial.annihilator(3)
-        + h2 * LadderPolynomial.creator(3)
-    )
+@functools.lru_cache(maxsize=1)
+def _state_tensors(state: InputState):
+    """{1: m1, 2: m2, 4: m4}, read-only, for one input state.
+
+    The state is a product state, so each entry is the product over modes of
+    the expectation of that mode's sub-word; the at most 30 distinct sub-words
+    of each mode are normally ordered once.
+    """
+    sub_words = {}
+
+    def moment(word):
+        value = 1.0
+        for mode in range(3):
+            key = tuple(i for i in word if i % 3 == mode)
+            if key not in sub_words:
+                sub_words[key] = expectation(normal_order(*(_SYMBOLS[i] for i in key)), state)
+            value *= sub_words[key]
+        return value
+
+    tensors = {}
+    for order in (1, 2, 4):
+        words = itertools.product(range(6), repeat=order)
+        tensor = np.array([moment(w) for w in words], dtype=complex).reshape((6,) * order)
+        tensor.setflags(write=False)
+        tensors[order] = tensor
+    return tensors
 
 
-def quadrature_polynomials(coeffs, sel):
-    """Output-state quadratures X, Y as polynomials over the input modes."""
-    xpoly = LadderPolynomial()
-    ypoly = LadderPolynomial()
-    for mode, weight in zip((1, 2, 3), sel.weights):
-        if weight == 0.0:
-            continue
-        amode = transformed_mode(coeffs, mode)
-        adag = amode.dagger()
-        xpoly = xpoly + (0.5 * weight) * (amode + adag)
-        ypoly = ypoly + (-0.5j * weight) * (amode - adag)
-    return xpoly, ypoly
+def _contract(state, *rows):
+    """<(w_1.A) ... (w_n.A)> of the state for n = 1, 2 or 4 rows w over A."""
+    value = _state_tensors(state)[len(rows)]
+    for row in reversed(rows):
+        value = value @ row
+    return value
+
+
+def _rows(coeffs: BogoliubovCoeffs, mode):
+    """(U, V) of one output mode: S+ a_mode S = U.A and its adjoint is V.A."""
+    j = _mode_index(mode)
+    c, d = coeffs.c[j], coeffs.d[j]
+    return np.concatenate((c, d)), np.concatenate((d, c))
 
 
 def quadrature_variances(coeffs, sel, state):
     """(<dX^2>, <dY^2>) of the squeezed output state."""
-    xpoly, ypoly = quadrature_polynomials(coeffs, sel)
+    xrow = yrow = 0.0
+    for mode, weight in zip((1, 2, 3), sel.weights):
+        u, v = _rows(coeffs, mode)
+        xrow = xrow + (0.5 * weight) * (u + v)
+        yrow = yrow + (-0.5j * weight) * (u - v)
     out = []
-    for poly, name in ((xpoly, "<X>"), (ypoly, "<Y>")):
-        mean = _real(expectation(poly, state), name)
-        square = _real(expectation(normal_order(poly, poly), state), name + "^2")
+    for row, name in ((xrow, "<X>"), (yrow, "<Y>")):
+        mean = _real(_contract(state, row), name)
+        square = _real(_contract(state, row, row), name + "^2")
         out.append(square - mean * mean)
     return tuple(out)
 
@@ -101,163 +133,56 @@ def squeezing(coeffs: BogoliubovCoeffs, sel: QuadratureSelector, state: InputSta
     return ((2.0 * var_x - c) / c, (2.0 * var_y - c) / c)
 
 
-def squeezing_symmetric_closed(r: float, sel: QuadratureSelector):
-    """Equal-coupling vacuum squeezing from the printed exponential formulas.
-
-    S_x = [(1+c1^2+c2^2)(2 e^{2r} + e^{-4r} - 3)
-           + 2(c1+c2+c1 c2)(e^{-4r} - e^{2r})] / [3 (1+c1^2+c2^2)]
-    and S_y is the same expression with r -> -r.
-    """
-    c1, c2 = sel.c1, sel.c2
-    norm = 1.0 + c1 ** 2 + c2 ** 2
-    cross = c1 + c2 + c1 * c2
-
-    def branch(r):
-        return (
-            norm * (2.0 * math.exp(2.0 * r) + math.exp(-4.0 * r) - 3.0)
-            + 2.0 * cross * (math.exp(-4.0 * r) - math.exp(2.0 * r))
-        ) / (3.0 * norm)
-
-    return (branch(r), branch(-r))
-
-
-def _mode_polys(coeffs, mode):
-    amode = transformed_mode(coeffs, mode)
-    return amode, amode.dagger()
-
-
 def mean_photon(coeffs, state, mode):
     """<a+ a> of one output mode."""
-    amode, adag = _mode_polys(coeffs, mode)
-    return _real(expectation(normal_order(adag, amode), state), "<n>")
+    u, v = _rows(coeffs, mode)
+    return _real(_contract(state, v, u), "<n>")
 
 
 def intensity_correlation(coeffs, state, mode):
     """<a+^2 a^2> of one output mode."""
-    amode, adag = _mode_polys(coeffs, mode)
-    return _real(expectation(normal_order(adag, adag, amode, amode), state), "<a+2 a2>")
+    u, v = _rows(coeffs, mode)
+    return _real(_contract(state, v, v, u, u), "<a+2 a2>")
 
 
 def cross_correlation(coeffs, state, j, k):
     """<n_j n_k> between two distinct output modes."""
     if j == k:
         raise ValueError("cross correlation needs two distinct modes")
-    aj, ajd = _mode_polys(coeffs, j)
-    ak, akd = _mode_polys(coeffs, k)
-    return _real(expectation(normal_order(ajd, aj, akd, ak), state), "<n_j n_k>")
+    uj, vj = _rows(coeffs, j)
+    uk, vk = _rows(coeffs, k)
+    return _real(_contract(state, vj, uj, vk, uk), "<n_j n_k>")
 
 
-def g2(coeffs: BogoliubovCoeffs, state: InputState, mode: int) -> float:
-    """Second-order correlation <a+2 a2>/<a+ a>^2 - 1; negative is sub-Poissonian."""
-    mean = mean_photon(coeffs, state, mode)
+def g2_ratio(intensity, mean, mode):
+    """<a+2 a2>/<a+ a>^2 - 1 from the two moments of one output mode."""
     if mean <= MEAN_PHOTON_FLOOR:
         raise UndefinedMomentError(
             f"g2 of mode {mode} is undefined: mean photon number {mean!r} below "
             f"{MEAN_PHOTON_FLOOR}"
         )
-    return intensity_correlation(coeffs, state, mode) / mean ** 2 - 1.0
+    return intensity / mean ** 2 - 1.0
 
 
-def a1_moments_closed(coeffs: BogoliubovCoeffs, ns):
-    """(<a1+ a1>, <a1+2 a1^2>) for number-state input, from the printed formulas."""
-    n1, n2, n3 = (int(n) for n in ns)
-    if min(n1, n2, n3) < 0:
-        raise ValueError("occupations must be nonnegative")
-    f1, f2, g1, g2_, h1, h2 = coeffs.mode_row(1)
-
-    mean = (
-        n1 * f1 ** 2 + (n1 + 1) * f2 ** 2
-        + n2 * g1 ** 2 + (n2 + 1) * g2_ ** 2
-        + n3 * h1 ** 2 + (n3 + 1) * h2 ** 2
-    )
-
-    occ_f = n1 * f1 ** 2 + (n1 + 1) * f2 ** 2
-    occ_g = n2 * g1 ** 2 + (n2 + 1) * g2_ ** 2
-    occ_h = n3 * h1 ** 2 + (n3 + 1) * h2 ** 2
-    second = (
-        n1 * (n1 - 1) * f1 ** 4 + (n1 + 1) * (n1 + 2) * f2 ** 4
-        + (2 * n1 + 1) ** 2 * f1 ** 2 * f2 ** 2
-        + n2 * (n2 - 1) * g1 ** 4 + (n2 + 1) * (n2 + 2) * g2_ ** 4
-        + (2 * n2 + 1) ** 2 * g1 ** 2 * g2_ ** 2
-        + n3 * (n3 - 1) * h1 ** 4 + (n3 + 1) * (n3 + 2) * h2 ** 4
-        + (2 * n3 + 1) ** 2 * h1 ** 2 * h2 ** 2
-        + (2 * n1 + 1) * f1 * f2
-        * (2.0 * (2 * n2 + 1) * g1 * g2_ + (2 * n3 + 1) * h1 * h2)
-        + (2 * n3 + 1) * h1 * h2
-        * (2.0 * (2 * n2 + 1) * g1 * g2_ + (2 * n1 + 1) * f1 * f2)
-        + 4.0 * occ_f * (occ_g + occ_h)
-        + 4.0 * occ_g * occ_h
-    )
-    return (mean, second)
+def cauchy_schwarz_ratio(intensity_j, intensity_k, cross, j, k):
+    """sqrt(<a_j+2 a_j2><a_k+2 a_k2>)/<n_j n_k> - 1 from the three moments."""
+    if cross <= MEAN_PHOTON_FLOOR:
+        raise UndefinedMomentError(
+            f"V_{j}{k} is undefined: <n_{j} n_{k}> = {cross!r} below {MEAN_PHOTON_FLOOR}"
+        )
+    return math.sqrt(max(intensity_j * intensity_k, 0.0)) / cross - 1.0
 
 
-def subpoisson_certificate(coeffs: BogoliubovCoeffs, n: int) -> float:
-    """<a1+2 a1^2> - <a1+ a1>^2 for the input (0, n, n); provably nonnegative."""
-    if not isinstance(n, int) or n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    state = InputState.number(0, n, n)
-    mean = mean_photon(coeffs, state, 1)
-    second = intensity_correlation(coeffs, state, 1)
-    return second - mean * mean
+def g2(coeffs: BogoliubovCoeffs, state: InputState, mode: int) -> float:
+    """Second-order correlation <a+2 a2>/<a+ a>^2 - 1; negative is sub-Poissonian."""
+    mean = mean_photon(coeffs, state, mode)
+    return g2_ratio(intensity_correlation(coeffs, state, mode), mean, mode)
 
 
 def cauchy_schwarz(coeffs: BogoliubovCoeffs, state: InputState, j: int, k: int) -> float:
     """Cauchy-Schwarz ratio V_jk; positive values are classically forbidden."""
     if j == k:
         raise ValueError("Cauchy-Schwarz ratio needs two distinct modes")
-    denom = cross_correlation(coeffs, state, j, k)
-    if denom <= MEAN_PHOTON_FLOOR:
-        raise UndefinedMomentError(
-            f"V_{j}{k} is undefined: <n_{j} n_{k}> = {denom!r} below {MEAN_PHOTON_FLOOR}"
-        )
-    numer = intensity_correlation(coeffs, state, j) * intensity_correlation(coeffs, state, k)
-    return math.sqrt(max(numer, 0.0)) / denom - 1.0
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Mean photon numbers, intensity correlations and pair cross correlations."""
-
-    mean_n: tuple
-    intensity: tuple
-    cross: dict
-
-    def g2(self, mode):
-        mean = self.mean_n[mode - 1]
-        if mean <= MEAN_PHOTON_FLOOR:
-            raise UndefinedMomentError(f"g2 of mode {mode} undefined at mean {mean!r}")
-        return self.intensity[mode - 1] / mean ** 2 - 1.0
-
-    def v(self, j, k):
-        denom = self.cross[(min(j, k), max(j, k))]
-        if denom <= MEAN_PHOTON_FLOOR:
-            raise UndefinedMomentError(f"V_{j}{k} undefined at <n_j n_k> = {denom!r}")
-        numer = self.intensity[j - 1] * self.intensity[k - 1]
-        return math.sqrt(max(numer, 0.0)) / denom - 1.0
-
-    def to_json_dict(self):
-        def ratio(fn, *args):
-            try:
-                return fn(*args)
-            except UndefinedMomentError:
-                return None
-
-        return {
-            "mean_n": list(self.mean_n),
-            "g2": [ratio(self.g2, mode) for mode in (1, 2, 3)],
-            "v_jk": {
-                f"{j}{k}": ratio(self.v, j, k) for j, k in ((1, 2), (1, 3), (2, 3))
-            },
-        }
-
-
-def moment_table(coeffs: BogoliubovCoeffs, state: InputState) -> MomentTable:
-    """All second- and fourth-order diagonal moments in one pass."""
-    return MomentTable(
-        mean_n=tuple(mean_photon(coeffs, state, m) for m in (1, 2, 3)),
-        intensity=tuple(intensity_correlation(coeffs, state, m) for m in (1, 2, 3)),
-        cross={
-            (j, k): cross_correlation(coeffs, state, j, k)
-            for j, k in ((1, 2), (1, 3), (2, 3))
-        },
-    )
+    cross = cross_correlation(coeffs, state, j, k)
+    intensity = [intensity_correlation(coeffs, state, m) for m in (j, k)]
+    return cauchy_schwarz_ratio(*intensity, cross, j, k)

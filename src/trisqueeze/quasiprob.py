@@ -243,19 +243,31 @@ def fock_limit_wigner(n: int, z, s: int):
     return out if out.ndim else float(out)
 
 
+def closed_form_slot(ns):
+    """(slot, n) of the closed form of an occupation pattern, None without one.
+
+    Vacuum is (None, 0), (n1, 0, 0) is ("mode1", n1), (0, 0, n3) is ("mode3", n3).
+    """
+    n1, n2, n3 = _occupations(ns)
+    if n2 == 0 and n3 == 0:
+        return ("mode1" if n1 else None, n1)
+    if n1 == 0 and n2 == 0:
+        return ("mode3", n3)
+    return None
+
+
 def wigner_closed(coeffs: BogoliubovCoeffs, ns, z, s: int):
     """Dispatch to a closed form when the input occupation pattern has one.
 
     Returns None for patterns with photons in mode 2 or in several slots.
     """
-    n1, n2, n3 = _occupations(ns)
-    if n1 == n2 == n3 == 0:
+    pattern = closed_form_slot(ns)
+    if pattern is None:
+        return None
+    slot, n = pattern
+    if slot is None:
         return wigner_vacuum(coeffs, z, s)
-    if n2 == 0 and n3 == 0:
-        return wigner_excited(coeffs, n1, "mode1", z, s)
-    if n1 == 0 and n2 == 0:
-        return wigner_excited(coeffs, n3, "mode3", z, s)
-    return None
+    return wigner_excited(coeffs, n, slot, z, s)
 
 
 def _occupations(ns):

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ladder import _mode_index
+
 R_MAX = 10.0  # cosh(2 * R_MAX) ~ 2.4e8; beyond this, fourth moments overflow
 
 _MODE_KEYS = ("mode1", "mode2", "mode3")
@@ -67,12 +69,6 @@ def coupling_matrix(params: SqueezeParams) -> np.ndarray:
     """Symmetric zero-diagonal 3x3 matrix of pair couplings."""
     r1, r2, r3 = params.as_tuple()
     return np.array([[0.0, r1, r2], [r1, 0.0, r3], [r2, r3, 0.0]])
-
-
-def _mode_index(mode):
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode!r}")
-    return mode - 1
 
 
 @dataclass(frozen=True)

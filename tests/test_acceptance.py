@@ -35,7 +35,6 @@ from trisqueeze.moments import (
     mean_photon,
     quadrature_variances,
     squeezing,
-    subpoisson_certificate,
 )
 from trisqueeze.quasiprob import (
     laguerre,
@@ -53,6 +52,8 @@ from trisqueeze.symplectic import (
     symmetric_coeffs_closed,
     symplectic_check,
 )
+
+from reference_moments import subpoisson_certificate
 
 VACUUM = InputState.vacuum()
 

@@ -144,6 +144,38 @@ def test_wigner_grid_files_and_sidecar(tmp_path):
     assert payload["x"] == {"min": -2.0, "max": 2.0, "count": 21}
 
 
+_AUX_FIELDS = (
+    "lambda1", "lambda2", "b", "kernel_det", "theta_plus", "theta_minus",
+    "eta_plus", "eta_minus", "s", "slot",
+)
+
+
+@pytest.mark.parametrize("state, slot, method", [
+    ("n=0,0,1", "mode3", "closed"),
+    ("n=0,1,0", None, "numeric"),
+])
+def test_wigner_grid_sidecar_bytes(tmp_path, state, slot, method):
+    # the sidecar's exact bytes: every WignerAux field, sorted keys, indent 2
+    from trisqueeze import SqueezeParams, bogoliubov_coeffs, wigner_aux
+
+    out = tmp_path / "grid.csv"
+    code = run_cli([
+        "wigner-grid", "--r", "0.3", "--state", state,
+        "--x=-1:1:5", "--y=-1:1:3", "--out", str(out),
+    ])
+    assert code == 0
+    aux = wigner_aux(bogoliubov_coeffs(SqueezeParams.symmetric(0.3)), 0, slot=slot)
+    expected = {
+        "x": {"min": -1.0, "max": 1.0, "count": 5},
+        "y": {"min": -1.0, "max": 1.0, "count": 3},
+        "s": 0,
+        "method": method,
+        "aux": {name: getattr(aux, name) for name in _AUX_FIELDS},
+    }
+    text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "grid.aux.json").read_bytes() == text.encode("utf-8")
+
+
 def test_wigner_grid_methods_agree(tmp_path):
     closed = tmp_path / "closed.csv"
     numeric = tmp_path / "numeric.csv"

@@ -172,7 +172,7 @@ def test_engine_quadratures_against_oracle(evolved_fock111):
 
 def test_bogoliubov_table_against_oracle_matrix_elements():
     # c[j,k] = <S 0| a_j S |1_k>  and  d[j,k] = <S 1_k| a_j S |0>
-    from trisqueeze.fock_oracle import _apply_lowering
+    from trisqueeze.fock_oracle import _apply_ladder
 
     params = SqueezeParams(0.30, 0.24, 0.18)
     cut = FockCutoff(12)
@@ -187,9 +187,9 @@ def test_bogoliubov_table_against_oracle_matrix_elements():
     s_vac = evolved(0, 0, 0)
     s_one = [evolved(*occ) for occ in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
     for j in range(3):
-        a_j_vac = _apply_lowering(s_vac, j)
+        a_j_vac = _apply_ladder(s_vac, j)
         for k in range(3):
-            c_oracle = np.vdot(s_vac, _apply_lowering(s_one[k], j))
+            c_oracle = np.vdot(s_vac, _apply_ladder(s_one[k], j))
             d_oracle = np.vdot(s_one[k], a_j_vac)
             assert abs(c_oracle.imag) < 1e-10 and abs(d_oracle.imag) < 1e-10
             assert coeffs.c[j, k] == pytest.approx(c_oracle.real, abs=1e-8)

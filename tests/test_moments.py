@@ -8,20 +8,22 @@ from trisqueeze.ladder import InputState
 from trisqueeze.moments import (
     QuadratureSelector,
     UndefinedMomentError,
-    a1_moments_closed,
     cauchy_schwarz,
     cross_correlation,
     g2,
     intensity_correlation,
     mean_photon,
-    moment_table,
     quadrature_variances,
     squeezing,
+)
+from trisqueeze.symplectic import BogoliubovCoeffs, SqueezeParams, bogoliubov_coeffs
+
+from reference_moments import (
+    a1_moments_closed,
     squeezing_symmetric_closed,
     subpoisson_certificate,
     transformed_mode,
 )
-from trisqueeze.symplectic import BogoliubovCoeffs, SqueezeParams, bogoliubov_coeffs
 
 IDENTITY = BogoliubovCoeffs.identity()
 VACUUM = InputState.vacuum()
@@ -53,6 +55,13 @@ def test_transformed_mode_symmetric_chain_pattern():
 def test_transformed_mode_rejects_bad_index():
     with pytest.raises(ValueError):
         transformed_mode(IDENTITY, 0)
+
+
+def test_moments_reject_bad_mode():
+    with pytest.raises(ValueError):
+        mean_photon(IDENTITY, VACUUM, 0)
+    with pytest.raises(ValueError):
+        intensity_correlation(IDENTITY, VACUUM, 4)
 
 
 def test_transformed_mode_asymmetric_row():
@@ -285,27 +294,32 @@ def test_v12_zero_crossing_location():
     assert abs(fn(1.0)) < 5e-3  # visually zero well before the actual crossing
 
 
-def test_moment_table_invariants_and_json(rng):
+def test_moments_nonnegative_and_ratios_consistent():
     coeffs = bogoliubov_coeffs(SqueezeParams(0.4, 0.7, 0.2))
     state = InputState.number(1, 0, 2)
-    table = moment_table(coeffs, state)
-    assert all(v >= 0 for v in table.mean_n)
-    assert all(v >= 0 for v in table.intensity)
-    assert all(v >= 0 for v in table.cross.values())
-    payload = table.to_json_dict()
-    assert set(payload) == {"mean_n", "g2", "v_jk"}
-    assert set(payload["v_jk"]) == {"12", "13", "23"}
-    assert payload["g2"][0] == pytest.approx(g2(coeffs, state, 1))
-    assert payload["v_jk"]["13"] == pytest.approx(cauchy_schwarz(coeffs, state, 1, 3))
-    # cross correlations agree with the direct engine route
-    assert table.cross[(1, 2)] == pytest.approx(cross_correlation(coeffs, state, 1, 2))
+    means = [mean_photon(coeffs, state, m) for m in (1, 2, 3)]
+    intensities = [intensity_correlation(coeffs, state, m) for m in (1, 2, 3)]
+    crosses = {
+        (j, k): cross_correlation(coeffs, state, j, k) for j, k in ((1, 2), (1, 3), (2, 3))
+    }
+    assert all(v >= 0 for v in means)
+    assert all(v >= 0 for v in intensities)
+    assert all(v >= 0 for v in crosses.values())
+    assert g2(coeffs, state, 1) == pytest.approx(intensities[0] / means[0] ** 2 - 1.0)
+    assert cauchy_schwarz(coeffs, state, 1, 3) == pytest.approx(
+        math.sqrt(intensities[0] * intensities[2]) / crosses[(1, 3)] - 1.0
+    )
+    # n_j and n_k commute, so the pair moment is symmetric
+    assert cross_correlation(coeffs, state, 2, 1) == pytest.approx(crosses[(1, 2)], rel=1e-12)
 
 
-def test_moment_table_reports_undefined_as_null():
-    table = moment_table(IDENTITY, VACUUM)
-    payload = table.to_json_dict()
-    assert payload["g2"] == [None, None, None]
-    assert payload["v_jk"]["12"] is None
+def test_ratios_undefined_on_dark_modes():
+    for mode in (1, 2, 3):
+        with pytest.raises(UndefinedMomentError):
+            g2(IDENTITY, VACUUM, mode)
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        with pytest.raises(UndefinedMomentError):
+            cauchy_schwarz(IDENTITY, VACUUM, j, k)
 
 
 def test_g2_coherent_explicit_asymmetric_point():
