@@ -87,7 +87,7 @@ RUNS = [
      ["origin-sweep", "--r1", "0.6", "--r2", "0.8", "--r3", "0:6:301", "--state", "n=0,0,1"]),
     ("origin_0.6_0.8_r3_n100.csv",
      ["origin-sweep", "--r1", "0.6", "--r2", "0.8", "--r3", "0:6:301", "--state", "n=1,0,0"]),
-    # ground-truth spot check (truncated-Fock oracle, takes ~10 s)
+    # ground-truth spot check (truncated-Fock oracle, well under 1 s)
     ("oracle_verify_n111.json",
      ["oracle-verify", "--r1", "0.2", "--r2", "0.15", "--r3", "0.25",
       "--state", "n=1,1,1", "--cutoff", "12"]),

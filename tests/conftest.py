@@ -2,10 +2,6 @@ import numpy as np
 import pytest
 
 
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running oracle comparisons")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240810)

@@ -134,7 +134,6 @@ def _oracle_monomial(mode, power):
     return mono
 
 
-@pytest.mark.slow
 def test_c06_oracle_equivalence_suite():
     rng = np.random.default_rng(614)
     cutoff = FockCutoff(14)
