@@ -166,6 +166,15 @@ def _csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _grid_csv(xs, ys, values):
+    """_csv of the rows (x_i, y_j, values[i, j]), byte for byte: each axis value is
+    formatted once into a row template, and one %-format renders every w."""
+    tails = ["%.17g,%%.17g\n" % y for y in ys.tolist()]
+    heads = ["%.17g," % x for x in xs.tolist()]
+    template = "".join(head + head.join(tails) for head in heads)
+    return "x,y,w\n" + template % tuple(values.reshape(-1).tolist())
+
+
 def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -234,7 +243,7 @@ def cmd_origin_sweep(args):
     if not state.is_number_state:
         raise UsageError("origin-sweep needs a number state (--state n=)")
     ns = state.occupations()
-    if not (ns[1] == 0 and (ns[0] == 0 or ns[2] == 0)):
+    if closed_form_slot(ns) is None:
         raise UsageError("origin-sweep supports the closed-form patterns n=0,0,n3 and n=n1,0,0")
     rows = []
     for triple in _parse_params(args):
@@ -265,6 +274,9 @@ def cmd_wigner_grid(args):
     ys = np.asarray(_parse_axis(args.y, "--y"))
     if xs.size < 2 or ys.size < 2:
         raise UsageError("--x and --y must be sweeps (start:stop:count)")
+    for flag, spec, axis in (("--x", args.x, xs), ("--y", args.y, ys)):
+        if not np.isfinite(axis).all():
+            raise UsageError(f"{flag}: sweep values must be finite, got {spec!r}")
 
     pattern = closed_form_slot(ns)
     method = args.method
@@ -278,21 +290,18 @@ def cmd_wigner_grid(args):
         values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
     else:
         values = wigner_numeric(coeffs, ns, xs, ys, args.s).values
+    if not np.isfinite(values).all():
+        raise ArithmeticError("finite-value guard: the grid holds non-finite values; narrow --x/--y")
 
-    rows = [
-        (_fmt(xs[i]), _fmt(ys[j]), _fmt(values[i, j]))
-        for i in range(xs.size)
-        for j in range(ys.size)
-    ]
     payload = _grid_metadata(xs, ys, args.s)
     payload["method"] = method
     slot = pattern[0] if pattern is not None else None
     payload["aux"] = dataclasses.asdict(wigner_aux(coeffs, args.s, slot=slot))
     if args.format == "json":
-        payload["values"] = [float(v) for v in values.reshape(-1)]
+        payload["values"] = values.reshape(-1).tolist()
         _emit(args, _json_text(payload))
         return
-    _emit(args, _csv("x,y,w", rows))
+    _emit(args, _grid_csv(xs, ys, values))
     out = _resolve_out(args.out)
     sidecar = out.with_suffix(".aux.json")
     sidecar.write_text(_json_text(payload), encoding="utf-8", newline="")
@@ -395,7 +404,9 @@ def _add_param_flags(sub):
     sub.add_argument("--r3", help="pair (2,3) coupling, scalar or sweep")
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="trisqueeze",
         description="Nonclassicality diagnostics of the three-mode squeeze operator",
@@ -460,8 +471,7 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except UsageError as exc:

@@ -20,6 +20,7 @@ through zero without harm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -313,6 +314,14 @@ def _char_half_width(coeffs, ns, s):
     )
 
 
+@functools.cache
+def _gauss_legendre(n_nodes):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed once per count."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int) -> QuasiprobGrid:
     """Quasidistribution grid by direct quadrature of the characteristic function.
 
@@ -334,7 +343,7 @@ def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int) -> QuasiprobGri
     half = _char_half_width(coeffs, (n1, n2, n3), s)
     previous = None
     for n_nodes in (64, 128, 256, 512, 1024):
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, weights = _gauss_legendre(n_nodes)
         u = nodes * half
         wu = weights * half
         zeta = u[:, None] + 1j * u[None, :]

@@ -3,8 +3,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trisqueeze import cli
 from trisqueeze.cli import main
 
 
@@ -203,6 +207,122 @@ def test_wigner_grid_json_format(tmp_path):
 
     coeffs = bogoliubov_coeffs(SqueezeParams.symmetric(0.5))
     assert payload["values"][2 * 3 + 2] == pytest.approx(wigner_vacuum(coeffs, 0.0 + 1.0j, 0))
+
+
+def reference_grid_csv(xs, ys, values):
+    """The grid writer it replaced: one _fmt call per cell, rows joined one by one."""
+    rows = [
+        ",".join(format(float(v), ".17g") for v in (xs[i], ys[j], values[i, j]))
+        for i in range(len(xs))
+        for j in range(len(ys))
+    ]
+    return "\n".join(["x,y,w"] + rows) + "\n"
+
+
+_EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+    1e-300, -1e-300, 1.7976931348623157e308, 0.1 + 0.2, 1.0 / 3.0, -2.0 / 3.0,
+    1.0000000000000002, 123456789.12345679, 4.35, -7e22,
+]
+
+
+def test_grid_writer_edge_values():
+    values = np.array(_EDGE_FLOATS).reshape(6, 3)
+    xs, ys = values[:, 0].copy(), values[:3, 2].copy()
+    assert cli._grid_csv(xs, ys, values) == reference_grid_csv(xs, ys, values)
+    assert cli._grid_csv(xs, ys, values.T.copy().T) == reference_grid_csv(xs, ys, values)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(data=st.data(), nx=st.integers(1, 7), ny=st.integers(1, 7))
+@settings(max_examples=200, deadline=None)
+def test_grid_writer_matches_per_cell_reference(data, nx, ny):
+    xs = np.array(data.draw(st.lists(_finite, min_size=nx, max_size=nx)))
+    ys = np.array(data.draw(st.lists(_finite, min_size=ny, max_size=ny)))
+    values = np.array(data.draw(st.lists(_finite, min_size=nx * ny, max_size=nx * ny)))
+    values = values.reshape(nx, ny)
+    assert cli._grid_csv(xs, ys, values) == reference_grid_csv(xs, ys, values)
+
+
+@pytest.mark.parametrize("state, method", [("n=1,0,0", "closed"), ("n=1,1,0", "numeric")])
+def test_wigner_grid_csv_matches_per_cell_reference(tmp_path, state, method):
+    from trisqueeze import SqueezeParams, bogoliubov_coeffs, wigner_closed, wigner_numeric
+
+    out = tmp_path / "grid.csv"
+    code = run_cli(["wigner-grid", "--r1", "0.3", "--r2", "0.2", "--r3", "0.1", "--state", state,
+                    "--s", "-1", "--x=-3:2.5:13", "--y=-1.7:3:9", "--out", str(out)])
+    assert code == 0
+    coeffs = bogoliubov_coeffs(SqueezeParams(0.3, 0.2, 0.1))
+    ns = tuple(int(n) for n in state[2:].split(","))
+    xs, ys = np.linspace(-3, 2.5, 13), np.linspace(-1.7, 3, 9)
+    if method == "closed":
+        values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], -1)
+    else:
+        values = wigner_numeric(coeffs, ns, xs, ys, -1).values
+    assert out.read_text() == reference_grid_csv(xs, ys, values)
+    assert json.loads((tmp_path / "grid.aux.json").read_text())["method"] == method
+
+
+def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
+    # one process: explicit s, default s, both methods, two usage errors, then valid calls
+    grid = ["wigner-grid", "--r", "0.3", "--state", "n=0,0,1", "--x=-1:1:5", "--y=-1:1:4"]
+    missing_out = ["wigner-grid", "--r", "0.3", "--state", "n=0,0,1"]
+    sequence = [
+        grid + ["--s", "-1"],
+        grid,
+        grid + ["--method", "numeric"],
+        grid + ["--method", "auto"],
+        grid + ["--method", "exact"],
+        missing_out,
+        grid + ["--s", "-1", "--format", "json"],
+        grid,
+    ]
+
+    def run_sequence(tag):
+        results = []
+        for k, argv in enumerate(sequence):
+            out = tmp_path / tag / f"{k}.csv"
+            try:
+                code = main(argv if argv is missing_out else argv + ["--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+            sidecar = out.with_suffix(".aux.json")
+            results.append((code, capsys.readouterr(),
+                            out.read_bytes() if out.exists() else None,
+                            sidecar.read_bytes() if sidecar.exists() else None))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = run_sequence("reused")
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, 2, 0, 0]
+    assert reused[0][3] != reused[1][3]  # the sidecar records s
+    assert reused[1][2:] == reused[-1][2:]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert run_sequence("fresh") == reused
+
+
+@pytest.mark.parametrize("flag", ["--x=nan:4:5", "--y=-inf:1:3", "--x=1:inf:3", "--y=-1e308:1e308:5"])
+def test_wigner_grid_rejects_non_finite_axis(tmp_path, capsys, flag):
+    out = tmp_path / "grid.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(["wigner-grid", "--r", "0.3", "--state", "n=0,0,1", flag, "--out", str(out)])
+    assert code == 2
+    assert flag[:3] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wigner_grid_refuses_non_finite_values(tmp_path, capsys):
+    # finite axis values whose squares overflow: Gaussian 0 times Laguerre inf is nan
+    out = tmp_path / "grid.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run_cli(["wigner-grid", "--r", "0.3", "--state", "n=0,0,1",
+                        "--x=1e300:1e301:5", "--out", str(out)])
+    assert code == 1
+    assert "finite-value guard" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".aux.json").exists()
 
 
 def test_wigner_grid_requires_out():
