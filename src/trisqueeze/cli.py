@@ -62,17 +62,19 @@ from .quasiprob import (
     wigner_closed,
     wigner_numeric,
 )
-from .symplectic import SqueezeParams, bogoliubov_coeffs
+from .symplectic import (
+    BogoliubovCoeffs,
+    SqueezeParams,
+    bogoliubov_coeffs,
+    bogoliubov_table,
+    valid_prefix,
+)
 
 OUTDIR_ENV = "TRISQUEEZE_OUTDIR"
 
 
 class UsageError(Exception):
     pass
-
-
-def _fmt(value) -> str:
-    return format(float(value), ".17g")
 
 
 def _parse_axis(spec, what):
@@ -93,7 +95,8 @@ def _parse_axis(spec, what):
         raise UsageError(f"{what}: sweep must be start:stop:count, got {spec!r}")
     if count < 2:
         raise UsageError(f"{what}: sweep count must be >= 2, got {count}")
-    return [float(v) for v in np.linspace(start, stop, count)]
+    with np.errstate(over="ignore", invalid="ignore"):  # wigner-grid refuses non-finite axes
+        return [float(v) for v in np.linspace(start, stop, count)]
 
 
 def _parse_params(args):
@@ -160,14 +163,30 @@ def _emit(args, text):
     out.write_text(text, encoding="utf-8", newline="")
 
 
-def _csv(header, rows):
-    lines = [header]
-    lines.extend(",".join(cells) for cells in rows)
-    return "\n".join(lines) + "\n"
+# the coupling columns r1,r2,r3 of every sweep row
+_R_CELLS = "%.17g,%.17g,%.17g,"
+
+
+def _sweep_csv(args, header, row_format, evaluate):
+    """CSV of a coupling sweep, one row per (r1, r2, r3), r1-major.
+
+    ``evaluate(table)`` returns the value columns of all rows of a
+    BogoliubovTable at once; ``row_format`` holds one %.17g per coupling and
+    value column.  The error is the one a row-by-row loop meets first: a row
+    outside the coupling guards is refused only after the rows before it have
+    passed the moment guards.
+    """
+    triples = np.array(_parse_params(args), dtype=float)
+    valid = valid_prefix(triples)
+    columns = evaluate(bogoliubov_table(triples[:valid]))
+    if valid < len(triples):
+        SqueezeParams(*triples[valid])  # raises the row's guard message
+    values = np.column_stack((triples, *columns))
+    return header + "\n" + (row_format * len(values)) % tuple(values.reshape(-1).tolist())
 
 
 def _grid_csv(xs, ys, values):
-    """_csv of the rows (x_i, y_j, values[i, j]), byte for byte: each axis value is
+    """CSV of the rows (x_i, y_j, values[i, j]), each as %.17g: each axis value is
     formatted once into a row template, and one %-format renders every w."""
     tails = ["%.17g,%%.17g\n" % y for y in ys.tolist()]
     heads = ["%.17g," % x for x in xs.tolist()]
@@ -195,47 +214,27 @@ def _require_scalar_params(args):
 def cmd_squeeze_sweep(args):
     state = _parse_state(args.state)
     sel = QuadratureSelector(args.c1, args.c2)
-    rows = []
-    for triple in _parse_params(args):
-        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
-        sx, sy = squeezing(coeffs, sel, state)
-        rows.append(
-            tuple(_fmt(v) for v in triple)
-            + (str(args.c1), str(args.c2), _fmt(sx), _fmt(sy))
-        )
-    _emit(args, _csv("r1,r2,r3,c1,c2,Sx,Sy", rows))
+    row_format = _R_CELLS + f"{args.c1},{args.c2},%.17g,%.17g\n"
+    _emit(args, _sweep_csv(args, "r1,r2,r3,c1,c2,Sx,Sy", row_format,
+                           lambda table: squeezing(table, sel, state)))
 
 
 def cmd_g2_sweep(args):
     state = _parse_state(args.state)
     if not state.is_number_state:
         raise UsageError("g2-sweep encodes the state in its n1,n2,n3 columns; use --state n=")
-    ns = state.occupations()
-    rows = []
-    for triple in _parse_params(args):
-        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
-        value = g2(coeffs, state, args.mode)
-        rows.append(
-            tuple(_fmt(v) for v in triple)
-            + tuple(str(n) for n in ns)
-            + (_fmt(value),)
-        )
-    _emit(args, _csv("r1,r2,r3,n1,n2,n3,g2_mode", rows))
+    row_format = _R_CELLS + "%d,%d,%d,%%.17g\n" % state.occupations()
+    _emit(args, _sweep_csv(args, "r1,r2,r3,n1,n2,n3,g2_mode", row_format,
+                           lambda table: [g2(table, state, args.mode)]))
 
 
 def cmd_cs_sweep(args):
     state = _parse_state(args.state)
     if args.j == args.k:
         raise UsageError("--j and --k must name distinct modes")
-    rows = []
-    for triple in _parse_params(args):
-        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
-        value = cauchy_schwarz(coeffs, state, args.j, args.k)
-        rows.append(
-            tuple(_fmt(v) for v in triple)
-            + (str(args.j), str(args.k), _fmt(value))
-        )
-    _emit(args, _csv("r1,r2,r3,j,k,V", rows))
+    row_format = _R_CELLS + f"{args.j},{args.k},%.17g\n"
+    _emit(args, _sweep_csv(args, "r1,r2,r3,j,k,V", row_format,
+                           lambda table: [cauchy_schwarz(table, state, args.j, args.k)]))
 
 
 def cmd_origin_sweep(args):
@@ -245,12 +244,12 @@ def cmd_origin_sweep(args):
     ns = state.occupations()
     if closed_form_slot(ns) is None:
         raise UsageError("origin-sweep supports the closed-form patterns n=0,0,n3 and n=n1,0,0")
-    rows = []
-    for triple in _parse_params(args):
-        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
-        value = wigner_closed(coeffs, ns, 0j, args.s)
-        rows.append(tuple(_fmt(v) for v in triple) + (_fmt(value),))
-    _emit(args, _csv("r1,r2,r3,w00", rows))
+
+    def origin_values(table):
+        return [[wigner_closed(BogoliubovCoeffs(c, d), ns, 0j, args.s)
+                 for c, d in zip(table.c, table.d)]]
+
+    _emit(args, _sweep_csv(args, "r1,r2,r3,w00", _R_CELLS + "%.17g\n", origin_values))
 
 
 def _grid_metadata(xs, ys, s):
@@ -282,14 +281,13 @@ def cmd_wigner_grid(args):
     method = args.method
     if method == "auto":
         method = "closed" if pattern is not None else "numeric"
-    if method == "closed":
-        if pattern is None:
-            raise UsageError(
-                "no closed form for this occupation pattern; use --method numeric"
-            )
-        values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
-    else:
-        values = wigner_numeric(coeffs, ns, xs, ys, args.s).values
+    if method == "closed" and pattern is None:
+        raise UsageError("no closed form for this occupation pattern; use --method numeric")
+    with np.errstate(over="ignore", invalid="ignore"):  # the finite-value guard decides
+        if method == "closed":
+            values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
+        else:
+            values = wigner_numeric(coeffs, ns, xs, ys, args.s).values
     if not np.isfinite(values).all():
         raise ArithmeticError("finite-value guard: the grid holds non-finite values; narrow --x/--y")
 

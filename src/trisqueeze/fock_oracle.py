@@ -15,6 +15,7 @@ to answer when the top shell is populated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -134,24 +135,35 @@ def truncation_report(state: TruncatedState) -> TruncationReport:
     )
 
 
-def build_generator(params: SqueezeParams, cutoff: FockCutoff):
-    """Sparse matrix of r1(a1 a2 - h.c.) + r2(a1 a3 - h.c.) + r3(a2 a3 - h.c.).
+@functools.cache
+def _pair_generators(size):
+    """(a1 a2 - h.c., a1 a3 - h.c., a2 a3 - h.c.) as sparse matrices, per-mode size ``size``.
 
-    Each pair product is a single Kronecker product of ladder matrices, so the
-    assembled generator is exactly antisymmetric (real entries) in the
-    truncated basis.
+    Each pair product is a single Kronecker product of ladder matrices, so
+    every matrix is exactly antisymmetric (real entries) in the truncated
+    basis.  Callers only scale and add them, which makes new matrices.
     """
     import scipy.sparse  # deferred like every scipy import here: only the oracle needs it
 
-    size = cutoff.size
     lower = scipy.sparse.diags(np.sqrt(np.arange(1, size)), offsets=1, format="csr")
     eye = scipy.sparse.identity(size, format="csr")
-    pair_12 = scipy.sparse.kron(scipy.sparse.kron(lower, lower), eye, format="csr")
-    pair_13 = scipy.sparse.kron(scipy.sparse.kron(lower, eye), lower, format="csr")
-    pair_23 = scipy.sparse.kron(eye, scipy.sparse.kron(lower, lower), format="csr")
+    pairs = (
+        scipy.sparse.kron(scipy.sparse.kron(lower, lower), eye, format="csr"),
+        scipy.sparse.kron(scipy.sparse.kron(lower, eye), lower, format="csr"),
+        scipy.sparse.kron(eye, scipy.sparse.kron(lower, lower), format="csr"),
+    )
+    return tuple((pair - pair.T).tocsr() for pair in pairs)
+
+
+def build_generator(params: SqueezeParams, cutoff: FockCutoff):
+    """Sparse matrix of r1(a1 a2 - h.c.) + r2(a1 a3 - h.c.) + r3(a2 a3 - h.c.).
+
+    The three pair matrices have disjoint support, so each entry is one
+    coupling times one ladder product, exactly antisymmetric.
+    """
     r1, r2, r3 = params.as_tuple()
-    gen = r1 * pair_12 + r2 * pair_13 + r3 * pair_23
-    return (gen - gen.T).tocsr()
+    a12, a13, a23 = _pair_generators(cutoff.size)
+    return r1 * a12 + r2 * a13 + r3 * a23
 
 
 class SqueezePropagator:

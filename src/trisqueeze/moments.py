@@ -10,19 +10,22 @@ Every moment is then one contraction with a tensor of the input state:
 with m1[i] = <A_i>, m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l>
 built once per state by the exact normal-ordering engine (``ladder``), so one
 code path serves number states, coherent states and any couplings.
+
+Every function takes either one ``BogoliubovCoeffs`` or a ``BogoliubovTable``
+of P coupling triples; with a table, the rows U_j, V_j are (P, 6) stacks and
+each moment is one contraction over all P rows, returning a (P,) array.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ladder import InputState, LadderPolynomial, _mode_index, expectation, normal_order
-from .symplectic import BogoliubovCoeffs
+from .symplectic import BogoliubovCoeffs, BogoliubovTable
 
 MEAN_PHOTON_FLOOR = 1e-12
 _HERMITIAN_IMAG_TOL = 1e-9
@@ -60,12 +63,18 @@ class QuadratureSelector:
         return (1.0, float(self.c1), float(self.c2))
 
 
+def _first(values, bad):
+    """The first entry of ``values`` where ``bad`` holds, as a float."""
+    return float(np.asarray(values).reshape(-1)[np.argmax(np.reshape(bad, -1))])
+
+
 def _real(value, what):
-    value = complex(value)
-    scale = max(1.0, abs(value.real))
-    if abs(value.imag) > _HERMITIAN_IMAG_TOL * scale:
-        raise ArithmeticError(f"{what} acquired an imaginary part {value.imag!r}")
-    return value.real
+    """Real part of a Hermitian expectation (or a stack of them), guarding the imaginary part."""
+    value = np.asarray(value, dtype=complex)
+    bad = np.abs(value.imag) > _HERMITIAN_IMAG_TOL * np.maximum(1.0, np.abs(value.real))
+    if bad.any():
+        raise ArithmeticError(f"{what} acquired an imaginary part {_first(value.imag, bad)!r}")
+    return value.real[()]
 
 
 @functools.lru_cache(maxsize=1)
@@ -96,19 +105,33 @@ def _state_tensors(state: InputState):
     return tensors
 
 
+def _pairs(a, b):
+    """Rows of a (x) b: (..., 36) from two (..., 6) row stacks."""
+    return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (36,))
+
+
 def _contract(state, *rows):
-    """<(w_1.A) ... (w_n.A)> of the state for n = 1, 2 or 4 rows w over A."""
-    value = _state_tensors(state)[len(rows)]
-    for row in reversed(rows):
-        value = value @ row
-    return value
+    """<(w_1.A) ... (w_n.A)> of the state for n = 1, 2 or 4 row stacks w, each (..., 6).
+
+    Order 4 is taken as (w_1 (x) w_2) . m4[36x36] . (w_3 (x) w_4), so the
+    transients stay (..., 36).
+    """
+    tensor = _state_tensors(state)[len(rows)]
+    if len(rows) == 1:
+        return rows[0] @ tensor
+    if len(rows) == 2:
+        left, right = rows
+    else:
+        left, right = _pairs(rows[0], rows[1]), _pairs(rows[2], rows[3])
+        tensor = tensor.reshape(36, 36)
+    return ((left @ tensor) * right).sum(axis=-1)
 
 
-def _rows(coeffs: BogoliubovCoeffs, mode):
+def _rows(coeffs: BogoliubovCoeffs | BogoliubovTable, mode):
     """(U, V) of one output mode: S+ a_mode S = U.A and its adjoint is V.A."""
     j = _mode_index(mode)
-    c, d = coeffs.c[j], coeffs.d[j]
-    return np.concatenate((c, d)), np.concatenate((d, c))
+    c, d = coeffs.c[..., j, :], coeffs.d[..., j, :]
+    return np.concatenate((c, d), axis=-1), np.concatenate((d, c), axis=-1)
 
 
 def quadrature_variances(coeffs, sel, state):
@@ -126,7 +149,9 @@ def quadrature_variances(coeffs, sel, state):
     return tuple(out)
 
 
-def squeezing(coeffs: BogoliubovCoeffs, sel: QuadratureSelector, state: InputState):
+def squeezing(
+    coeffs: BogoliubovCoeffs | BogoliubovTable, sel: QuadratureSelector, state: InputState
+):
     """(S_x, S_y) with S = (2<dQ^2> - C)/C; negative values mean squeezing."""
     var_x, var_y = quadrature_variances(coeffs, sel, state)
     c = sel.normalizer
@@ -155,31 +180,35 @@ def cross_correlation(coeffs, state, j, k):
 
 
 def g2_ratio(intensity, mean, mode):
-    """<a+2 a2>/<a+ a>^2 - 1 from the two moments of one output mode."""
-    if mean <= MEAN_PHOTON_FLOOR:
+    """<a+2 a2>/<a+ a>^2 - 1 from the two moments of one output mode (or stacks of them)."""
+    low = np.asarray(mean) <= MEAN_PHOTON_FLOOR
+    if low.any():
         raise UndefinedMomentError(
-            f"g2 of mode {mode} is undefined: mean photon number {mean!r} below "
+            f"g2 of mode {mode} is undefined: mean photon number {_first(mean, low)!r} below "
             f"{MEAN_PHOTON_FLOOR}"
         )
-    return intensity / mean ** 2 - 1.0
+    return np.asarray(intensity) / np.asarray(mean) ** 2 - 1.0
 
 
 def cauchy_schwarz_ratio(intensity_j, intensity_k, cross, j, k):
-    """sqrt(<a_j+2 a_j2><a_k+2 a_k2>)/<n_j n_k> - 1 from the three moments."""
-    if cross <= MEAN_PHOTON_FLOOR:
+    """sqrt(<a_j+2 a_j2><a_k+2 a_k2>)/<n_j n_k> - 1 from the three moments (or stacks)."""
+    low = np.asarray(cross) <= MEAN_PHOTON_FLOOR
+    if low.any():
         raise UndefinedMomentError(
-            f"V_{j}{k} is undefined: <n_{j} n_{k}> = {cross!r} below {MEAN_PHOTON_FLOOR}"
+            f"V_{j}{k} is undefined: <n_{j} n_{k}> = {_first(cross, low)!r} below "
+            f"{MEAN_PHOTON_FLOOR}"
         )
-    return math.sqrt(max(intensity_j * intensity_k, 0.0)) / cross - 1.0
+    product = np.asarray(intensity_j) * np.asarray(intensity_k)
+    return np.sqrt(np.maximum(product, 0.0)) / cross - 1.0
 
 
-def g2(coeffs: BogoliubovCoeffs, state: InputState, mode: int) -> float:
+def g2(coeffs: BogoliubovCoeffs | BogoliubovTable, state: InputState, mode: int):
     """Second-order correlation <a+2 a2>/<a+ a>^2 - 1; negative is sub-Poissonian."""
     mean = mean_photon(coeffs, state, mode)
     return g2_ratio(intensity_correlation(coeffs, state, mode), mean, mode)
 
 
-def cauchy_schwarz(coeffs: BogoliubovCoeffs, state: InputState, j: int, k: int) -> float:
+def cauchy_schwarz(coeffs: BogoliubovCoeffs | BogoliubovTable, state: InputState, j: int, k: int):
     """Cauchy-Schwarz ratio V_jk; positive values are classically forbidden."""
     if j == k:
         raise ValueError("Cauchy-Schwarz ratio needs two distinct modes")

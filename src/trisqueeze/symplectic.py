@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,10 +66,17 @@ class SqueezeParams:
         return (self.r1, self.r2, self.r3)
 
 
+def _coupling_matrices(r):
+    """(P, 3, 3) stack of the coupling matrices of the (P, 3) rows (r1, r2, r3)."""
+    rmat = np.zeros((len(r), 3, 3))
+    for (j, k), strength in zip(((0, 1), (0, 2), (1, 2)), r.T):
+        rmat[:, j, k] = rmat[:, k, j] = strength
+    return rmat
+
+
 def coupling_matrix(params: SqueezeParams) -> np.ndarray:
     """Symmetric zero-diagonal 3x3 matrix of pair couplings."""
-    r1, r2, r3 = params.as_tuple()
-    return np.array([[0.0, r1, r2], [r1, 0.0, r3], [r2, r3, 0.0]])
+    return _coupling_matrices(np.array([params.as_tuple()]))[0]
 
 
 @dataclass(frozen=True)
@@ -127,13 +135,43 @@ class BogoliubovCoeffs:
         return cls(c=c, d=d)
 
 
+class BogoliubovTable(NamedTuple):
+    """The tables of P coupling triples, stacked: ``c[p]`` and ``d[p]`` are row p's
+    BogoliubovCoeffs tables, so ``c`` and ``d`` have shape (P, 3, 3)."""
+
+    c: np.ndarray
+    d: np.ndarray
+
+
+def valid_prefix(triples) -> int:
+    """Number of leading (r1, r2, r3) rows that SqueezeParams accepts."""
+    ok = (np.abs(np.asarray(triples, dtype=float).reshape(-1, 3)) <= R_MAX).all(axis=1)
+    return int(ok.argmin()) if not ok.all() else ok.size
+
+
+def bogoliubov_table(triples) -> BogoliubovTable:
+    """cosh/sinh of P coupling matrices via one stacked real symmetric eigendecomposition.
+
+    ``triples`` holds P rows (r1, r2, r3).  A row outside the SqueezeParams
+    guards raises that guard's message for the first such row.
+    """
+    r = np.asarray(triples, dtype=float).reshape(-1, 3)
+    first_bad = valid_prefix(r)
+    if first_bad < len(r):
+        SqueezeParams(*r[first_bad])  # raises the row's guard message
+    eigvals, eigvecs = np.linalg.eigh(_coupling_matrices(r))
+    vt = eigvecs.transpose(0, 2, 1)
+    c = (eigvecs * np.cosh(eigvals)[:, None, :]) @ vt
+    d = -(eigvecs * np.sinh(eigvals)[:, None, :]) @ vt
+    if not (np.isfinite(c).all() and np.isfinite(d).all()):
+        raise ValueError("coefficient tables must be finite")
+    return BogoliubovTable(c=c, d=d)
+
+
 def bogoliubov_coeffs(params: SqueezeParams) -> BogoliubovCoeffs:
-    """cosh/sinh of the coupling matrix via real symmetric eigendecomposition."""
-    rmat = coupling_matrix(params)
-    eigvals, eigvecs = np.linalg.eigh(rmat)
-    c = (eigvecs * np.cosh(eigvals)) @ eigvecs.T
-    d = -(eigvecs * np.sinh(eigvals)) @ eigvecs.T
-    return BogoliubovCoeffs(c=c, d=d)
+    """cosh/sinh of the coupling matrix: the one-row bogoliubov_table."""
+    table = bogoliubov_table(params.as_tuple())
+    return BogoliubovCoeffs(c=table.c[0], d=table.d[0])
 
 
 def symmetric_coeffs_closed(r: float) -> BogoliubovCoeffs:

@@ -306,23 +306,61 @@ def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", ["--x=nan:4:5", "--y=-inf:1:3", "--x=1:inf:3", "--y=-1e308:1e308:5"])
 def test_wigner_grid_rejects_non_finite_axis(tmp_path, capsys, flag):
+    # no numpy warning may precede the guard line (tier-1 turns RuntimeWarnings into errors)
     out = tmp_path / "grid.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli(["wigner-grid", "--r", "0.3", "--state", "n=0,0,1", flag, "--out", str(out)])
+    code = run_cli(["wigner-grid", "--r", "0.3", "--state", "n=0,0,1", flag, "--out", str(out)])
     assert code == 2
-    assert flag[:3] in capsys.readouterr().err
+    name, spec = flag.split("=", 1)
+    guard = f"usage error: {name}: sweep values must be finite, got {spec!r}\n"
+    assert capsys.readouterr().err == guard
     assert not out.exists()
 
 
-def test_wigner_grid_refuses_non_finite_values(tmp_path, capsys):
-    # finite axis values whose squares overflow: Gaussian 0 times Laguerre inf is nan
+def test_wigner_grid_refuses_non_finite_values(tmp_path):
+    # finite axis values whose squares overflow: Gaussian 0 times Laguerre inf is nan;
+    # a fresh process shows any numpy warning on its stderr
     out = tmp_path / "grid.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run_cli(["wigner-grid", "--r", "0.3", "--state", "n=0,0,1",
-                        "--x=1e300:1e301:5", "--out", str(out)])
-    assert code == 1
-    assert "finite-value guard" in capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "trisqueeze", "wigner-grid", "--r", "0.3", "--state", "n=0,0,1",
+         "--x=1e300:1e301:5", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "computation error: finite-value guard: the grid holds non-finite values; narrow --x/--y\n"
+    )
     assert not out.exists() and not out.with_suffix(".aux.json").exists()
+
+
+# stderr lines and exit codes of the row-by-row sweeps: the first row that trips a
+# guard names the error, also when a later row is outside the coupling guards
+SWEEP_ERRORS = [
+    (["g2-sweep", "--r", "0:0.5:3", "--state", "n=0,0,0", "--mode", "1"],
+     "computation error: g2 of mode 1 is undefined: mean photon number 0.0 below 1e-12"),
+    (["cs-sweep", "--r1", "0:0.5:3", "--r2", "0", "--r3", "0.3", "--state", "n=0,0,0",
+      "--j", "1", "--k", "2"],
+     "computation error: V_12 is undefined: <n_1 n_2> = 0.0 below 1e-12"),
+    (["cs-sweep", "--r1", "0.5:0:3", "--r2", "0", "--r3", "0.3", "--state", "n=0,0,0",
+      "--j", "1", "--k", "2"],
+     "computation error: V_12 is undefined: <n_1 n_2> = 0.0 below 1e-12"),
+    (["squeeze-sweep", "--r", "9:11:3", "--c1", "1", "--c2", "1", "--state", "n=0,0,0"],
+     "computation error: |r1| must not exceed 10.0, got 11.0"),
+    (["cs-sweep", "--r1", "0.1:0.2:2", "--r2=9:12:4", "--r3", "0.3", "--state", "alpha=1,1j,0",
+      "--j", "1", "--k", "3"],
+     "computation error: |r2| must not exceed 10.0, got 11.0"),
+    (["g2-sweep", "--r", "0:12:4", "--state", "n=0,0,0", "--mode", "1"],
+     "computation error: g2 of mode 1 is undefined: mean photon number 0.0 below 1e-12"),
+    (["origin-sweep", "--r1", "0.2", "--r2", "0.3", "--r3=-10.5:10.5:3", "--state", "n=1,0,0"],
+     "computation error: |r3| must not exceed 10.0, got -10.5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", SWEEP_ERRORS)
+def test_sweep_errors_name_first_offending_row(tmp_path, capsys, argv, message):
+    out = tmp_path / "sweep.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert not out.exists()
 
 
 def test_wigner_grid_requires_out():

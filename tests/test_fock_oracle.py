@@ -77,6 +77,37 @@ def test_generator_pair_matrix_element():
     assert gen[ket, bra] == pytest.approx(-1.0)
 
 
+def reference_generator(params, cutoff):
+    """The uncached assembly: six Kronecker products per call, antisymmetrised at the end."""
+    import scipy.sparse
+
+    size = cutoff.size
+    lower = scipy.sparse.diags(np.sqrt(np.arange(1, size)), offsets=1, format="csr")
+    eye = scipy.sparse.identity(size, format="csr")
+    pair_12 = scipy.sparse.kron(scipy.sparse.kron(lower, lower), eye, format="csr")
+    pair_13 = scipy.sparse.kron(scipy.sparse.kron(lower, eye), lower, format="csr")
+    pair_23 = scipy.sparse.kron(eye, scipy.sparse.kron(lower, lower), format="csr")
+    r1, r2, r3 = params.as_tuple()
+    gen = r1 * pair_12 + r2 * pair_13 + r3 * pair_23
+    return (gen - gen.T).tocsr()
+
+
+@pytest.mark.parametrize("n_max", range(4, 16))
+def test_cached_generator_equals_uncached_assembly(n_max):
+    cut = FockCutoff(n_max)
+    for triple in ((0.3, -0.2, 0.1), (-0.17, 0.0, 0.25), (0.0, 0.0, -1.3), (2.5, -9.5, 1e-300)):
+        params = SqueezeParams(*triple)
+        want = reference_generator(params, cut)
+        got = build_generator(params, cut)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.nnz == want.nnz
+        assert (got != want).nnz == 0
+        # a caller writing into the returned matrix leaves the next result unchanged
+        got.data[:] = 7.0
+        got.indices[:] = 0
+        got.indptr[:] = 0
+        assert (build_generator(params, cut) != want).nnz == 0
+
+
 def test_generator_exactly_antisymmetric():
     gen = build_generator(SqueezeParams(0.6, 0.8, 0.9), FockCutoff(10))
     assert abs(gen + gen.T).max() < 1e-14

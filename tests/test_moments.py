@@ -1,22 +1,31 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze.ladder import InputState
+from trisqueeze import moments
 from trisqueeze.moments import (
     QuadratureSelector,
     UndefinedMomentError,
     cauchy_schwarz,
+    cauchy_schwarz_ratio,
     cross_correlation,
     g2,
+    g2_ratio,
     intensity_correlation,
     mean_photon,
     quadrature_variances,
     squeezing,
 )
-from trisqueeze.symplectic import BogoliubovCoeffs, SqueezeParams, bogoliubov_coeffs
+from trisqueeze.symplectic import (
+    BogoliubovCoeffs,
+    SqueezeParams,
+    bogoliubov_coeffs,
+    bogoliubov_table,
+)
 
 from reference_moments import (
     a1_moments_closed,
@@ -334,3 +343,51 @@ def test_a1_moments_closed_explicit_asymmetric_point():
     mean_c, second_c = a1_moments_closed(coeffs, (1, 0, 2))
     assert mean_photon(coeffs, state, 1) == pytest.approx(mean_c, rel=1e-10)
     assert intensity_correlation(coeffs, state, 1) == pytest.approx(second_c, rel=1e-10)
+
+
+def test_stacked_guards_name_first_offending_row():
+    with pytest.raises(UndefinedMomentError) as excinfo:
+        g2_ratio(np.ones(4), np.array([1.0, 1e-13, 0.0, 2.0]), 2)
+    assert str(excinfo.value) == "g2 of mode 2 is undefined: mean photon number 1e-13 below 1e-12"
+    with pytest.raises(UndefinedMomentError) as excinfo:
+        cauchy_schwarz_ratio(np.ones(3), np.ones(3), np.array([0.5, -0.0, 1e-20]), 1, 3)
+    assert str(excinfo.value) == "V_13 is undefined: <n_1 n_3> = -0.0 below 1e-12"
+    with pytest.raises(ArithmeticError) as excinfo:
+        moments._real(np.array([1.0, 2.0 + 1e-3j, 3.0 + 1j]), "<n>")
+    assert str(excinfo.value) == "<n> acquired an imaginary part 0.001"
+    # one value gives the message of a one-row stack
+    with pytest.raises(UndefinedMomentError) as excinfo:
+        g2_ratio(1.0, 1e-13, 2)
+    assert str(excinfo.value) == "g2 of mode 2 is undefined: mean photon number 1e-13 below 1e-12"
+    with pytest.raises(ArithmeticError) as excinfo:
+        moments._real(2.0 + 1e-3j, "<n>")
+    assert str(excinfo.value) == "<n> acquired an imaginary part 0.001"
+
+
+def test_table_rows_match_one_row_calls():
+    table = bogoliubov_table([(0.3, -0.2, 0.5), (1.1, 0.0, -0.4), (0.0, 0.7, 0.0)])
+    state = InputState.coherent(1 + 0.5j, -0.3j, 0.8)
+    sel = QuadratureSelector(1, 0)
+    stacked = [
+        mean_photon(table, state, 2),
+        intensity_correlation(table, state, 3),
+        cross_correlation(table, state, 1, 3),
+        g2(table, state, 1),
+        cauchy_schwarz(table, state, 2, 3),
+        *quadrature_variances(table, sel, state),
+        *squeezing(table, sel, state),
+    ]
+    for p in range(3):
+        coeffs = BogoliubovCoeffs(table.c[p], table.d[p])
+        single = [
+            mean_photon(coeffs, state, 2),
+            intensity_correlation(coeffs, state, 3),
+            cross_correlation(coeffs, state, 1, 3),
+            g2(coeffs, state, 1),
+            cauchy_schwarz(coeffs, state, 2, 3),
+            *quadrature_variances(coeffs, sel, state),
+            *squeezing(coeffs, sel, state),
+        ]
+        for column, value in zip(stacked, single):
+            assert column.shape == (3,) and np.ndim(value) == 0
+            assert abs(column[p] - value) <= 1e-13 * (1.0 + abs(value))

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze.symplectic import (
+    R_MAX,
     BogoliubovCoeffs,
     SqueezeParams,
     bogoliubov_coeffs,
+    bogoliubov_table,
     coupling_matrix,
     symmetric_coeffs_closed,
     symplectic_check,
+    valid_prefix,
 )
 
 strengths = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
@@ -143,3 +146,44 @@ def test_mode_row_bounds():
         BogoliubovCoeffs.identity().mode_row(0)
     with pytest.raises(ValueError):
         BogoliubovCoeffs.identity().mode_row(4)
+
+
+def reference_coeffs(triple):
+    """The per-row path the stacked table replaced: one eigh of one coupling matrix."""
+    eigvals, eigvecs = np.linalg.eigh(coupling_matrix(SqueezeParams(*triple)))
+    c = (eigvecs * np.cosh(eigvals)) @ eigvecs.T
+    d = -(eigvecs * np.sinh(eigvals)) @ eigvecs.T
+    return c, d
+
+
+def test_table_rows_match_per_row_eigh(rng):
+    triples = np.concatenate([
+        rng.uniform(-R_MAX, R_MAX, (40, 3)),
+        rng.uniform(-2.0, 2.0, (40, 3)),
+        [[0.0, 0.0, 0.0], [0.5, 0.5, 0.5], [-R_MAX, R_MAX, 0.0], [1e-300, 0.0, -2.0]],
+    ])
+    table = bogoliubov_table(triples)
+    assert table.c.shape == table.d.shape == (len(triples), 3, 3)
+    for p, triple in enumerate(triples):
+        c, d = reference_coeffs(triple)
+        scale = np.abs(c).max()
+        assert np.abs(table.c[p] - c).max() <= 1e-14 * scale
+        assert np.abs(table.d[p] - d).max() <= 1e-14 * scale
+        one = bogoliubov_coeffs(SqueezeParams(*triple))
+        assert np.array_equal(one.c, table.c[p]) and np.array_equal(one.d, table.d[p])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0.1, 0.2, 0.3], [0.1, 11.0, float("nan")], [12.0, 0.0, 0.0]],
+     "|r2| must not exceed 10.0, got 11.0"),
+    ([[0.1, 0.2, 0.3], [0.0, 0.0, 0.0], [float("inf"), 0.0, 12.0]], "r1 must be finite, got inf"),
+    ([[0.0, float("nan"), 0.0]], "r2 must be finite, got nan"),
+    ([[0.0, 0.0, -10.000000000000002]], "|r3| must not exceed 10.0, got -10.000000000000002"),
+])
+def test_table_guard_names_first_offending_row(rows, message):
+    with pytest.raises(ValueError) as excinfo:
+        bogoliubov_table(rows)
+    assert str(excinfo.value) == message
+    bad = next(i for i, row in enumerate(rows) if not all(abs(v) <= R_MAX for v in row))
+    assert valid_prefix(rows) == bad
+    assert valid_prefix(rows[:bad]) == bad
