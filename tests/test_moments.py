@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisqueeze.ladder import InputState
 from trisqueeze import moments
+from trisqueeze.ladder import InputState
 from trisqueeze.moments import (
     QuadratureSelector,
     UndefinedMomentError,
