@@ -19,7 +19,6 @@ from .quasiprob import (
     PFunctionSingularError,
     QuasiprobGrid,
     WignerAux,
-    WindowSelectionError,
     char_fn,
     fock_limit_wigner,
     laguerre,
@@ -28,6 +27,7 @@ from .quasiprob import (
     wigner_excited,
     wigner_numeric,
     wigner_origin,
+    wigner_series,
     wigner_vacuum,
 )
 from .symplectic import (
@@ -38,7 +38,6 @@ from .symplectic import (
     bogoliubov_coeffs,
     bogoliubov_table,
     coupling_matrix,
-    symmetric_coeffs_closed,
     symplectic_check,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "SymplecticReport",
     "UndefinedMomentError",
     "WignerAux",
-    "WindowSelectionError",
     "bogoliubov_coeffs",
     "bogoliubov_table",
     "cauchy_schwarz",
@@ -68,13 +66,13 @@ __all__ = [
     "laguerre",
     "normal_order",
     "squeezing",
-    "symmetric_coeffs_closed",
     "symplectic_check",
     "wigner_aux",
     "wigner_closed",
     "wigner_excited",
     "wigner_numeric",
     "wigner_origin",
+    "wigner_series",
     "wigner_vacuum",
 ]
 

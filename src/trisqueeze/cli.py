@@ -56,14 +56,13 @@ from .moments import (
 )
 from .quasiprob import (
     PFunctionSingularError,
-    WindowSelectionError,
     closed_form_slot,
     wigner_aux,
     wigner_closed,
     wigner_numeric,
+    wigner_series,
 )
 from .symplectic import (
-    BogoliubovCoeffs,
     SqueezeParams,
     bogoliubov_coeffs,
     bogoliubov_table,
@@ -242,12 +241,12 @@ def cmd_origin_sweep(args):
     if not state.is_number_state:
         raise UsageError("origin-sweep needs a number state (--state n=)")
     ns = state.occupations()
-    if closed_form_slot(ns) is None:
-        raise UsageError("origin-sweep supports the closed-form patterns n=0,0,n3 and n=n1,0,0")
 
     def origin_values(table):
-        return [[wigner_closed(BogoliubovCoeffs(c, d), ns, 0j, args.s)
-                 for c, d in zip(table.c, table.d)]]
+        values = wigner_closed(table, ns, 0j, args.s)
+        if values is None:
+            values = wigner_series(table, ns, [0.0], [0.0], args.s)[:, 0, 0]
+        return [values]
 
     _emit(args, _sweep_csv(args, "r1,r2,r3,w00", _R_CELLS + "%.17g\n", origin_values))
 
@@ -445,7 +444,9 @@ def build_parser():
     sub.add_argument("--s", type=int, choices=(-1, 0), default=0)
     sub.add_argument("--x", default="-4:4:101")
     sub.add_argument("--y", default="-4:4:101")
-    sub.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto")
+    sub.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto",
+                     help="closed: Laguerre closed form (vacuum, n=n1,0,0, n=0,0,n3); numeric: "
+                          "exact Hermite series (any n_j <= 6); auto: closed where it exists")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_wigner_grid)
@@ -478,7 +479,6 @@ def main(argv=None) -> int:
     except (
         UndefinedMomentError,
         TruncationLeakageError,
-        WindowSelectionError,
         PFunctionSingularError,
         ValueError,
         ArithmeticError,

@@ -174,26 +174,6 @@ def bogoliubov_coeffs(params: SqueezeParams) -> BogoliubovCoeffs:
     return BogoliubovCoeffs(c=table.c[0], d=table.d[0])
 
 
-def symmetric_coeffs_closed(r: float) -> BogoliubovCoeffs:
-    """Equal-coupling coefficients from the printed closed forms.
-
-    The four independent entries are
-        f1(1) = [2 cosh r + cosh 2r]/3,   f2(1) = [2 sinh r - sinh 2r]/3,
-        g1(1) = [-cosh r + cosh 2r]/3,    g2(1) = -[sinh r + sinh 2r]/3,
-    and the remaining fourteen follow from the permutation symmetry of the
-    equal-coupling generator (all diagonal entries equal f1(1), all
-    off-diagonal entries equal g1(1), likewise for the creation table).
-    """
-    r = _validated_strength("r", r)
-    diag_c = (2.0 * math.cosh(r) + math.cosh(2.0 * r)) / 3.0
-    off_c = (-math.cosh(r) + math.cosh(2.0 * r)) / 3.0
-    diag_d = (2.0 * math.sinh(r) - math.sinh(2.0 * r)) / 3.0
-    off_d = -(math.sinh(r) + math.sinh(2.0 * r)) / 3.0
-    c = np.full((3, 3), off_c) + (diag_c - off_c) * np.eye(3)
-    d = np.full((3, 3), off_d) + (diag_d - off_d) * np.eye(3)
-    return BogoliubovCoeffs(c=c, d=d)
-
-
 ACCEPT_RESIDUAL = 1e-10
 
 

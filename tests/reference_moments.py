@@ -5,12 +5,14 @@ The scalar path pushes each transformed mode through ``ladder`` as its own
 quantity at a time.  It shares no contraction with ``trisqueeze.moments``
 and is the reference the per-state tensor engine is checked against.
 
-The printed equal-coupling closed forms (``squeezing_symmetric_closed``,
-``a1_moments_closed``) and the sub-Poissonian certificate of the (0, n, n)
-input live here as well: only tests use them.
+The printed equal-coupling closed forms (``symmetric_coeffs_closed``,
+``squeezing_symmetric_closed``, ``a1_moments_closed``) and the sub-Poissonian
+certificate of the (0, n, n) input live here as well: only tests use them.
 """
 
 import math
+
+import numpy as np
 
 from trisqueeze.ladder import InputState, LadderPolynomial, expectation, normal_order
 from trisqueeze.moments import (
@@ -19,6 +21,7 @@ from trisqueeze.moments import (
     intensity_correlation,
     mean_photon,
 )
+from trisqueeze.symplectic import BogoliubovCoeffs, _validated_strength
 
 
 def _real(value):
@@ -112,6 +115,26 @@ def ref_cauchy_schwarz(coeffs, state, j, k):
         coeffs, state, k
     )
     return math.sqrt(max(numer, 0.0)) / denom - 1.0
+
+
+def symmetric_coeffs_closed(r):
+    """Equal-coupling coefficients from the printed closed forms.
+
+    The four independent entries are
+        f1(1) = [2 cosh r + cosh 2r]/3,   f2(1) = [2 sinh r - sinh 2r]/3,
+        g1(1) = [-cosh r + cosh 2r]/3,    g2(1) = -[sinh r + sinh 2r]/3,
+    and the remaining fourteen follow from the permutation symmetry of the
+    equal-coupling generator (all diagonal entries equal f1(1), all
+    off-diagonal entries equal g1(1), likewise for the creation table).
+    """
+    r = _validated_strength("r", r)
+    diag_c = (2.0 * math.cosh(r) + math.cosh(2.0 * r)) / 3.0
+    off_c = (-math.cosh(r) + math.cosh(2.0 * r)) / 3.0
+    diag_d = (2.0 * math.sinh(r) - math.sinh(2.0 * r)) / 3.0
+    off_d = -(math.sinh(r) + math.sinh(2.0 * r)) / 3.0
+    c = np.full((3, 3), off_c) + (diag_c - off_c) * np.eye(3)
+    d = np.full((3, 3), off_d) + (diag_d - off_d) * np.eye(3)
+    return BogoliubovCoeffs(c=c, d=d)
 
 
 def squeezing_symmetric_closed(r, sel):

@@ -38,7 +38,6 @@ from trisqueeze.moments import (
 )
 from trisqueeze.quasiprob import (
     laguerre,
-    suggest_half_width,
     wigner_closed,
     wigner_excited,
     wigner_numeric,
@@ -49,11 +48,11 @@ from trisqueeze.symplectic import (
     BogoliubovCoeffs,
     SqueezeParams,
     bogoliubov_coeffs,
-    symmetric_coeffs_closed,
     symplectic_check,
 )
 
-from reference_moments import subpoisson_certificate
+from reference_moments import subpoisson_certificate, symmetric_coeffs_closed
+from reference_quasiprob import suggest_half_width
 
 VACUUM = InputState.vacuum()
 

@@ -332,6 +332,21 @@ def test_wigner_grid_refuses_non_finite_values(tmp_path):
     assert not out.exists() and not out.with_suffix(".aux.json").exists()
 
 
+def test_wigner_grid_series_refuses_non_finite_values(tmp_path):
+    # a pattern without a closed form meets the same finite-value guard
+    out = tmp_path / "grid.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "trisqueeze", "wigner-grid", "--r", "0.3", "--state", "n=0,1,0",
+         "--x=1e300:1e301:5", "--out", str(out)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "computation error: finite-value guard: the grid holds non-finite values; narrow --x/--y\n"
+    )
+    assert not out.exists() and not out.with_suffix(".aux.json").exists()
+
+
 # stderr lines and exit codes of the row-by-row sweeps: the first row that trips a
 # guard names the error, also when a later row is outside the coupling guards
 SWEEP_ERRORS = [
@@ -352,6 +367,10 @@ SWEEP_ERRORS = [
      "computation error: g2 of mode 1 is undefined: mean photon number 0.0 below 1e-12"),
     (["origin-sweep", "--r1", "0.2", "--r2", "0.3", "--r3=-10.5:10.5:3", "--state", "n=1,0,0"],
      "computation error: |r3| must not exceed 10.0, got -10.5"),
+    (["origin-sweep", "--r1", "0.2", "--r2", "0.3", "--r3=-10.5:10.5:3", "--state", "n=0,1,0"],
+     "computation error: |r3| must not exceed 10.0, got -10.5"),
+    (["origin-sweep", "--r", "0.2", "--state", "n=0,7,0"],
+     "computation error: occupations above 6 are not supported numerically"),
 ]
 
 
@@ -391,9 +410,45 @@ def test_origin_sweep_mode1_pattern(tmp_path):
     assert float(rows[0][3]) < -0.04
 
 
-def test_origin_sweep_rejects_mode2_pattern():
-    code = run_cli(["origin-sweep", "--r", "0.5", "--state", "n=0,1,0"])
-    assert code == 2
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_origin_sweep_series_patterns(tmp_path, s):
+    # patterns without a closed form take the exact series at z = 0
+    from trisqueeze import SqueezeParams, bogoliubov_coeffs
+
+    from reference_quasiprob import wigner_mpmath, wigner_quadrature
+
+    for state in ("n=0,1,0", "n=1,1,0"):
+        out = tmp_path / "origin.csv"
+        code = run_cli(["origin-sweep", "--r1", "0.6", "--r2", "0.8", "--r3", "0:1.5:4",
+                        "--state", state, "--s", s, "--out", str(out)])
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 4
+        ns = tuple(int(n) for n in state[2:].split(","))
+        for row in rows:
+            coeffs = bogoliubov_coeffs(SqueezeParams(*(float(v) for v in row[:3])))
+            value = float(row[3])
+            assert abs(value - wigner_quadrature(coeffs, ns, [0.0], [0.0], int(s))[0, 0]) < 1e-8
+            exact = wigner_mpmath(coeffs, ns, [0.0], [0.0], int(s))[0, 0]
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("state", ["n=0,0,0", "n=2,0,0", "n=0,0,3"])
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_origin_sweep_batched_closed_rows(tmp_path, state, s):
+    # one closed-form call over the sweep's table gives the per-row values
+    from trisqueeze import SqueezeParams, bogoliubov_coeffs, wigner_closed
+
+    out = tmp_path / "origin.csv"
+    code = run_cli(["origin-sweep", "--r1", "0.6", "--r2=-0.8", "--r3", "0:6:13",
+                    "--state", state, "--s", s, "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    ns = tuple(int(n) for n in state[2:].split(","))
+    for row in rows:
+        coeffs = bogoliubov_coeffs(SqueezeParams(*(float(v) for v in row[:3])))
+        expected = wigner_closed(coeffs, ns, 0j, int(s))
+        assert abs(float(row[3]) - expected) <= 1e-15 * abs(expected)
 
 
 def test_outdir_env_override(tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from trisqueeze.quasiprob import (
     char_fn,
     fock_limit_wigner,
     laguerre,
-    suggest_half_width,
     wigner_aux,
     wigner_closed,
     wigner_excited,
@@ -22,6 +21,8 @@ from trisqueeze.quasiprob import (
     wigner_vacuum,
 )
 from trisqueeze.symplectic import BogoliubovCoeffs, SqueezeParams, bogoliubov_coeffs
+
+from reference_quasiprob import suggest_half_width, wigner_mpmath
 
 IDENTITY = BogoliubovCoeffs.identity()
 
@@ -299,9 +300,12 @@ def test_numeric_guards():
     with pytest.raises(ValueError):
         wigner_numeric(coeffs, (0, 0, 7), xs, xs, 0)
     with pytest.raises(ValueError):
-        wigner_numeric(coeffs, (0, 0, 1), np.linspace(-2, 2, 300), xs, 0)
-    with pytest.raises(ValueError):
         wigner_numeric(coeffs, (0, 0, 1), np.array([0.0]), xs, 0)
+    # the 257-point axis cap bounded only the quadrature's phase matrices
+    long_axis = np.linspace(-2, 2, 300)
+    grid = wigner_numeric(coeffs, (0, 0, 1), long_axis, xs, 0)
+    reference = wigner_mpmath(coeffs, (0, 0, 1), long_axis, xs, 0)
+    assert np.max(np.abs(grid.values - reference)) < 1e-12 * np.max(np.abs(reference))
 
 
 def test_suggested_window_normalizes_excited_case():

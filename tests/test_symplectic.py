@@ -13,10 +13,11 @@ from trisqueeze.symplectic import (
     bogoliubov_coeffs,
     bogoliubov_table,
     coupling_matrix,
-    symmetric_coeffs_closed,
     symplectic_check,
     valid_prefix,
 )
+
+from reference_moments import symmetric_coeffs_closed
 
 strengths = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
