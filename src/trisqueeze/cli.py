@@ -29,31 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .fock_oracle import (
-    FockCutoff,
-    SqueezePropagator,
-    TruncatedState,
-    TruncationLeakageError,
-    oracle_expectation,
-    oracle_wigner,
-    quadrature_stats,
-    reduced_density,
-    truncation_report,
-)
+from .fock_oracle import FockCutoff, SqueezePropagator, TruncationLeakageError, oracle_report
 from .ladder import InputState
-from .moments import (
-    QuadratureSelector,
-    UndefinedMomentError,
-    cauchy_schwarz,
-    cauchy_schwarz_ratio,
-    cross_correlation,
-    g2,
-    g2_ratio,
-    intensity_correlation,
-    mean_photon,
-    quadrature_variances,
-    squeezing,
-)
+from .moments import QuadratureSelector, UndefinedMomentError, cauchy_schwarz, g2, squeezing
 from .quasiprob import (
     PFunctionSingularError,
     closed_form_slot,
@@ -276,12 +254,8 @@ def cmd_wigner_grid(args):
         if not np.isfinite(axis).all():
             raise UsageError(f"{flag}: sweep values must be finite, got {spec!r}")
 
-    pattern = closed_form_slot(ns)
-    method = args.method
-    if method == "auto":
-        method = "closed" if pattern is not None else "numeric"
-    if method == "closed" and pattern is None:
-        raise UsageError("no closed form for this occupation pattern; use --method numeric")
+    pattern = closed_form_slot(ns)  # closed forms where the pattern has one, else the series
+    method, slot = ("closed", pattern[0]) if pattern is not None else ("numeric", None)
     with np.errstate(over="ignore", invalid="ignore"):  # the finite-value guard decides
         if method == "closed":
             values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
@@ -292,7 +266,6 @@ def cmd_wigner_grid(args):
 
     payload = _grid_metadata(xs, ys, args.s)
     payload["method"] = method
-    slot = pattern[0] if pattern is not None else None
     payload["aux"] = dataclasses.asdict(wigner_aux(coeffs, args.s, slot=slot))
     if args.format == "json":
         payload["values"] = values.reshape(-1).tolist()
@@ -304,94 +277,11 @@ def cmd_wigner_grid(args):
     sidecar.write_text(_json_text(payload), encoding="utf-8", newline="")
 
 
-def _moment_table(mean, intensity, cross):
-    """Report-ordered moments and the g2 and V ratios derived from them.
-
-    ``mean``, ``intensity`` and ``cross`` give <n_m>, <a_m+2 a_m2> and
-    <n_j n_k>; each of the nine is evaluated once.
-    """
-    table = {}
-    for mode in (1, 2, 3):
-        table[f"mean_n{mode}"] = mean(mode)
-        table[f"intensity_{mode}"] = intensity(mode)
-        table[f"g2_{mode}"] = g2_ratio(table[f"intensity_{mode}"], table[f"mean_n{mode}"], mode)
-    for j, k in ((1, 2), (1, 3), (2, 3)):
-        table[f"cross_n{j}n{k}"] = cross(j, k)
-        table[f"v_{j}{k}"] = cauchy_schwarz_ratio(
-            table[f"intensity_{j}"], table[f"intensity_{k}"], table[f"cross_n{j}n{k}"], j, k
-        )
-    return table
-
-
 def cmd_oracle_verify(args):
     state = _parse_state(args.state)
     (triple,) = _require_scalar_params(args)
-    params = SqueezeParams(*triple)
-    cutoff = FockCutoff(args.cutoff)
-    coeffs = bogoliubov_coeffs(params)
-
-    propagator = SqueezePropagator(params, cutoff)
-    evolved = propagator.apply(TruncatedState.from_input_state(state, cutoff))
-    report = truncation_report(evolved)
-    if not report.ok(args.max_leakage):
-        raise TruncationLeakageError(report)
-
-    quantities = []
-
-    def record(name, analytic, oracle):
-        analytic = float(analytic)
-        oracle = float(oracle)
-        rel = abs(analytic - oracle) / max(abs(oracle), 1e-12)
-        quantities.append(
-            {"name": name, "analytic": analytic, "oracle": oracle, "rel_error": rel}
-        )
-
-    def oracle_moment(*modes):
-        """<a_j+ a_k+ ... a_j a_k ...> of the evolved state, one power per listed mode."""
-        mono = [0] * 6
-        for mode in modes:
-            mono[mode - 1] += 1
-            mono[mode + 2] += 1
-        return oracle_expectation(evolved, mono).real
-
-    analytic = _moment_table(
-        functools.partial(mean_photon, coeffs, state),
-        functools.partial(intensity_correlation, coeffs, state),
-        functools.partial(cross_correlation, coeffs, state),
-    )
-    oracle = _moment_table(oracle_moment, lambda m: oracle_moment(m, m), oracle_moment)
-    for name, value in analytic.items():
-        record(name, value, oracle[name])
-    for c1, c2 in ((0, 0), (1, 0), (1, 1)):
-        sel = QuadratureSelector(c1, c2)
-        var_x, var_y = quadrature_variances(coeffs, sel, state)
-        _, ovar_x, _, ovar_y = quadrature_stats(evolved, c1, c2)
-        record(f"var_x_c{c1}{c2}", var_x, ovar_x)
-        record(f"var_y_c{c1}{c2}", var_y, ovar_y)
-    if state.is_number_state:
-        ns = state.occupations()
-        rho1 = reduced_density(evolved, 1)
-        closed = wigner_closed(coeffs, ns, 0j, 0)
-        if closed is not None:
-            record("wigner_origin", closed, oracle_wigner(rho1, 0j, 0))
-            z = 0.5 + 0.3j
-            record("wigner_point", float(wigner_closed(coeffs, ns, z, 0)),
-                   oracle_wigner(rho1, z, 0))
-            record("husimi_point", float(wigner_closed(coeffs, ns, z, -1)),
-                   oracle_wigner(rho1, z, -1))
-
-    payload = {
-        "params": {"r1": params.r1, "r2": params.r2, "r3": params.r3},
-        "cutoff": cutoff.n_max,
-        "state": args.state,
-        "leakage": {
-            "norm_defect": report.norm_defect,
-            "top_shell": list(report.top_shell),
-        },
-        "quantities": quantities,
-        "max_rel_error": max(q["rel_error"] for q in quantities),
-    }
-    _emit(args, _json_text(payload))
+    propagator = SqueezePropagator(SqueezeParams(*triple), FockCutoff(args.cutoff))
+    _emit(args, _json_text({**oracle_report(propagator, state), "state": args.state}))
 
 
 def _add_param_flags(sub):
@@ -444,9 +334,6 @@ def build_parser():
     sub.add_argument("--s", type=int, choices=(-1, 0), default=0)
     sub.add_argument("--x", default="-4:4:101")
     sub.add_argument("--y", default="-4:4:101")
-    sub.add_argument("--method", choices=("auto", "closed", "numeric"), default="auto",
-                     help="closed: Laguerre closed form (vacuum, n=n1,0,0, n=0,0,n3); numeric: "
-                          "exact Hermite series (any n_j <= 6); auto: closed where it exists")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_wigner_grid)
@@ -462,7 +349,6 @@ def build_parser():
     _add_param_flags(sub)
     sub.add_argument("--state", required=True)
     sub.add_argument("--cutoff", type=int, default=14)
-    sub.add_argument("--max-leakage", type=float, default=1e-8)
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_oracle_verify)
 

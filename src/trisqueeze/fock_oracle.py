@@ -8,9 +8,12 @@ Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), never forming exp(K).
 Every moment and single-mode quasiprobability is then recomputed by tensor
 contractions that share no algebra with the closed forms they validate.
 
+``oracle_report``, used by ``oracle-verify`` and the tests, compares engine
+values with the oracle's; the oracle side shares no algebra with the engine.
+
 Truncation is guarded, not hidden: each evolved state carries a leakage
 report (norm defect and per-mode top-shell occupation) and the oracle refuses
-to answer when the top shell is populated.
+to answer when any of them reaches LEAKAGE_TOL.
 """
 
 from __future__ import annotations
@@ -22,12 +25,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ladder import InputState, NumberState, _mode_index
-from .symplectic import SqueezeParams
+from .moments import (
+    QuadratureSelector,
+    cauchy_schwarz_ratio,
+    cross_correlation,
+    g2_ratio,
+    intensity_correlation,
+    mean_photon,
+    quadrature_variances,
+)
+from .quasiprob import wigner_closed
+from .symplectic import SqueezeParams, bogoliubov_coeffs
 
 CUTOFF_MIN = 4
 CUTOFF_MAX = 15
 LEAKAGE_TOL = 1e-8
 WIGNER_TAIL_TOL = 1e-8
+WIGNER_PAD = 16  # zero rows/columns of headroom for the displacement operator
 MONOMIAL_DEGREE_MAX = 4  # per mode
 
 
@@ -63,8 +77,8 @@ class TruncationReport:
     def max_metric(self):
         return max(self.norm_defect, max(self.top_shell))
 
-    def ok(self, tol=LEAKAGE_TOL):
-        return self.max_metric < tol
+    def ok(self):
+        return self.max_metric < LEAKAGE_TOL
 
 
 class TruncationLeakageError(RuntimeError):
@@ -117,10 +131,6 @@ class TruncatedState:
             factors.append(vec)
         amps = np.einsum("i,j,k->ijk", *factors)
         return cls(amplitudes=amps, cutoff=cutoff)
-
-    @property
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def truncation_report(state: TruncatedState) -> TruncationReport:
@@ -185,20 +195,11 @@ class SqueezePropagator:
         )
 
 
-def apply_squeeze(
-    state: TruncatedState,
-    params: SqueezeParams,
-    cutoff: FockCutoff | None = None,
-    *,
-    max_leakage: float = LEAKAGE_TOL,
-    propagator: SqueezePropagator | None = None,
-) -> TruncatedState:
-    """Evolve a truncated state through exp(K), refusing on excessive leakage."""
-    if propagator is None:
-        propagator = SqueezePropagator(params, cutoff or state.cutoff)
+def apply_squeeze(propagator: SqueezePropagator, state: TruncatedState) -> TruncatedState:
+    """Evolve a truncated state through exp(K), refusing on leakage at or above LEAKAGE_TOL."""
     evolved = propagator.apply(state)
     report = truncation_report(evolved)
-    if not report.ok(max_leakage):
+    if not report.ok():
         raise TruncationLeakageError(report)
     return evolved
 
@@ -264,12 +265,12 @@ def reduced_density(state: TruncatedState, mode: int) -> np.ndarray:
     return np.tensordot(state.amplitudes, state.amplitudes.conj(), axes=(axes, axes))
 
 
-def oracle_wigner(rho: np.ndarray, z: complex, s: int, pad: int = 16) -> float:
+def oracle_wigner(rho: np.ndarray, z: complex, s: int) -> float:
     """Quasidistribution of a single-mode density matrix.
 
     s=0 uses the displaced-parity form (2/pi) Tr[rho D(z) P D(-z)]; s=-1 is
     the Husimi value <z|rho|z>/pi.  The top Fock occupation must be negligible
-    for the truncated value to stand in for the exact one; ``pad`` zero
+    for the truncated value to stand in for the exact one; WIGNER_PAD zero
     rows/columns give the displacement operator headroom above the state's
     support (without it, |z| ~ 1.4 points lose ~1e-4 of accuracy).
     """
@@ -288,7 +289,7 @@ def oracle_wigner(rho: np.ndarray, z: complex, s: int, pad: int = 16) -> float:
         raise ValueError("oracle quasidistributions support s in {-1, 0} only")
     import scipy.linalg
 
-    padded_size = size + max(int(pad), 0)
+    padded_size = size + WIGNER_PAD
     padded = np.zeros((padded_size, padded_size), dtype=complex)
     padded[:size, :size] = rho
     lower = np.diag(np.sqrt(np.arange(1, padded_size)), k=1)
@@ -296,3 +297,84 @@ def oracle_wigner(rho: np.ndarray, z: complex, s: int, pad: int = 16) -> float:
     parity = (-1.0) ** np.arange(padded_size)
     transformed = displaced.conj().T @ padded @ displaced
     return float((2.0 / math.pi) * np.real(np.sum(np.diag(transformed) * parity)))
+
+
+def _moment_table(mean, intensity, cross):
+    """Report-ordered moments and the g2 and V ratios derived from them.
+
+    ``mean``, ``intensity`` and ``cross`` give <n_m>, <a_m+2 a_m2> and
+    <n_j n_k>; each of the nine is evaluated once.
+    """
+    table = {}
+    for mode in (1, 2, 3):
+        table[f"mean_n{mode}"] = mean(mode)
+        table[f"intensity_{mode}"] = intensity(mode)
+        table[f"g2_{mode}"] = g2_ratio(table[f"intensity_{mode}"], table[f"mean_n{mode}"], mode)
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        table[f"cross_n{j}n{k}"] = cross(j, k)
+        table[f"v_{j}{k}"] = cauchy_schwarz_ratio(
+            table[f"intensity_{j}"], table[f"intensity_{k}"], table[f"cross_n{j}n{k}"], j, k
+        )
+    return table
+
+
+def oracle_report(propagator: SqueezePropagator, state: InputState) -> dict:
+    """Engine-versus-oracle values for one input state, as a JSON-ready dict.
+
+    ``quantities``: the 15 moments and ratios of ``_moment_table``, six quadrature
+    variances and, for a closed-form number state, three mode-1 W/Q points, each
+    with |analytic - oracle| / max(|oracle|, 1e-12).  Raises TruncationLeakageError.
+    """
+    params = propagator.params
+    coeffs = bogoliubov_coeffs(params)
+    evolved = apply_squeeze(propagator, TruncatedState.from_input_state(state, propagator.cutoff))
+    report = truncation_report(evolved)
+
+    quantities = []
+
+    def record(name, analytic, oracle):
+        analytic, oracle = float(analytic), float(oracle)
+        quantities.append({"name": name, "analytic": analytic, "oracle": oracle,
+                           "rel_error": abs(analytic - oracle) / max(abs(oracle), 1e-12)})
+
+    def oracle_moment(*modes):
+        """<a_j+ a_k+ ... a_j a_k ...> of the evolved state, one power per listed mode."""
+        mono = [0] * 6
+        for mode in modes:
+            mono[mode - 1] += 1
+            mono[mode + 2] += 1
+        return oracle_expectation(evolved, mono).real
+
+    analytic = _moment_table(
+        functools.partial(mean_photon, coeffs, state),
+        functools.partial(intensity_correlation, coeffs, state),
+        functools.partial(cross_correlation, coeffs, state),
+    )
+    oracle = _moment_table(oracle_moment, lambda m: oracle_moment(m, m), oracle_moment)
+    for name, value in analytic.items():
+        record(name, value, oracle[name])
+    for c1, c2 in ((0, 0), (1, 0), (1, 1)):
+        var_x, var_y = quadrature_variances(coeffs, QuadratureSelector(c1, c2), state)
+        _, ovar_x, _, ovar_y = quadrature_stats(evolved, c1, c2)
+        record(f"var_x_c{c1}{c2}", var_x, ovar_x)
+        record(f"var_y_c{c1}{c2}", var_y, ovar_y)
+    if state.is_number_state:
+        ns = state.occupations()
+        closed = wigner_closed(coeffs, ns, 0j, 0)
+        if closed is not None:
+            rho1 = reduced_density(evolved, 1)
+            z = 0.5 + 0.3j
+            record("wigner_origin", closed, oracle_wigner(rho1, 0j, 0))
+            record("wigner_point", wigner_closed(coeffs, ns, z, 0), oracle_wigner(rho1, z, 0))
+            record("husimi_point", wigner_closed(coeffs, ns, z, -1), oracle_wigner(rho1, z, -1))
+
+    return {
+        "params": {"r1": params.r1, "r2": params.r2, "r3": params.r3},
+        "cutoff": propagator.cutoff.n_max,
+        "leakage": {
+            "norm_defect": report.norm_defect,
+            "top_shell": list(report.top_shell),
+        },
+        "quantities": quantities,
+        "max_rel_error": max(q["rel_error"] for q in quantities),
+    }

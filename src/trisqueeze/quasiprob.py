@@ -146,14 +146,13 @@ def wigner_aux(coeffs: BogoliubovCoeffs | BogoliubovTable, s: int, slot: str | N
     b = 0.5 * (lambda1 - s)
     theta_plus = b + lambda2
     theta_minus = b - lambda2
+    # x * x, not x ** 2: numpy scalars square through C pow, which can miss the table row by an ulp
     if slot is None:
         eta_plus = eta_minus = None
-    elif slot == "mode1":
-        eta_plus = (f1 + f2) ** 2 - theta_plus
-        eta_minus = (f1 - f2) ** 2 - theta_minus
-    elif slot == "mode3":
-        eta_plus = (h1 + h2) ** 2 - theta_plus
-        eta_minus = (h1 - h2) ** 2 - theta_minus
+    elif slot in ("mode1", "mode3"):
+        c, d = (h1, h2) if slot == "mode3" else (f1, f2)
+        eta_plus = (c + d) * (c + d) - theta_plus
+        eta_minus = (c - d) * (c - d) - theta_minus
     else:
         raise ValueError(f"slot must be 'mode1', 'mode3' or None, got {slot!r}")
     return WignerAux(
@@ -204,12 +203,12 @@ def wigner_excited(coeffs: BogoliubovCoeffs | BogoliubovTable, n: int, slot: str
         raise ValueError(f"n = {n} exceeds the closed-form guard {EXCITED_N_MAX}")
     s = _check_ordering(s, allowed=(-1, 0))
     aux = wigner_aux(coeffs, s, slot=slot)
-    f1, f2, g1, g2, h1, h2 = _mode1_row(coeffs)
-    pair = (h1, h2) if slot == "mode3" else (f1, f2)
+    f1, f2, _, _, h1, h2 = _mode1_row(coeffs)
+    c, d = (h1, h2) if slot == "mode3" else (f1, f2)
     z = np.asarray(z, dtype=complex)
     tp, tm, eta_plus, eta_minus, a_plus, a_minus = _against(
         z, aux.theta_plus, aux.theta_minus, aux.eta_plus, aux.eta_minus,
-        (pair[0] + pair[1]) ** 2, (pair[0] - pair[1]) ** 2,
+        (c + d) * (c + d), (c - d) * (c - d),
     )
     x2 = z.real ** 2
     y2 = z.imag ** 2
@@ -217,8 +216,8 @@ def wigner_excited(coeffs: BogoliubovCoeffs | BogoliubovTable, n: int, slot: str
     acc = np.zeros(z.shape, dtype=float)
     for m in range(n + 1):
         acc = acc + (
-            _scaled_half_laguerre(m, eta_minus / tm, a_minus * y2 / tm ** 2)
-            * _scaled_half_laguerre(n - m, eta_plus / tp, a_plus * x2 / tp ** 2)
+            _scaled_half_laguerre(m, eta_minus / tm, a_minus * y2 / (tm * tm))
+            * _scaled_half_laguerre(n - m, eta_plus / tp, a_plus * x2 / (tp * tp))
         )
     out = ((-1.0) ** n / (math.pi * np.sqrt(tp * tm))) * gauss * acc
     return out if out.ndim else float(out)

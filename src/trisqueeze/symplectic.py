@@ -124,16 +124,6 @@ class BogoliubovCoeffs:
             out[mode_key] = {key: float(val) for key, val in zip(_COEFF_KEYS, row)}
         return out
 
-    @classmethod
-    def from_json_dict(cls, payload):
-        c = np.zeros((3, 3))
-        d = np.zeros((3, 3))
-        for j, mode_key in enumerate(_MODE_KEYS):
-            row = payload[mode_key]
-            c[j] = (row["f1"], row["g1"], row["h1"])
-            d[j] = (row["f2"], row["g2"], row["h2"])
-        return cls(c=c, d=d)
-
 
 class BogoliubovTable(NamedTuple):
     """The tables of P coupling triples, stacked: ``c[p]`` and ``d[p]`` are row p's

@@ -115,7 +115,7 @@ def test_generator_exactly_antisymmetric():
 
 def test_vacuum_fixed_point_at_zero_coupling():
     state = TruncatedState.from_input_state(InputState.vacuum(), FockCutoff(5))
-    out = apply_squeeze(state, SqueezeParams(0, 0, 0))
+    out = apply_squeeze(SqueezePropagator(SqueezeParams(0, 0, 0), FockCutoff(5)), state)
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-14)
 
 
@@ -196,13 +196,13 @@ def test_report_zero_for_fresh_vacuum():
 def test_oracle_refuses_hot_small_basis():
     state = TruncatedState.from_input_state(InputState.vacuum(), FockCutoff(6))
     with pytest.raises(TruncationLeakageError) as excinfo:
-        apply_squeeze(state, SqueezeParams.symmetric(1.5))
+        apply_squeeze(SqueezePropagator(SqueezeParams.symmetric(1.5), FockCutoff(6)), state)
     assert excinfo.value.report.max_metric > 1e-8
 
 
 def test_mild_squeeze_within_budget():
     state = TruncatedState.from_input_state(InputState.vacuum(), CUT12)
-    out = apply_squeeze(state, SqueezeParams.symmetric(0.2))
+    out = apply_squeeze(SqueezePropagator(SqueezeParams.symmetric(0.2), CUT12), state)
     assert truncation_report(out).max_metric < 1e-10
 
 
@@ -210,7 +210,7 @@ def test_mean_photon_matches_coefficients():
     # <n1> of squeezed vacuum equals f2^2 + g2^2 + h2^2
     cut = CUT12
     state = TruncatedState.from_input_state(InputState.vacuum(), cut)
-    out = apply_squeeze(state, SqueezeParams.symmetric(0.2))
+    out = apply_squeeze(SqueezePropagator(SqueezeParams.symmetric(0.2), cut), state)
     coeffs = bogoliubov_coeffs(SqueezeParams.symmetric(0.2))
     _, f2, _, g2_, _, h2 = coeffs.mode_row(1)
     measured = oracle_expectation(out, (1, 0, 0, 1, 0, 0)).real

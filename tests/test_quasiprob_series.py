@@ -113,4 +113,14 @@ def test_table_rows_equal_one_row_calls(rng, ns):
         if closed is not None:
             one_row = np.array([wigner_closed(row, ns, z, s) for row in rows])
             assert closed.shape == (7, 11, 6)
-            assert np.max(np.abs(closed - one_row)) <= 1e-15 * np.max(np.abs(one_row))
+            assert np.array_equal(closed, one_row)
+
+
+@pytest.mark.parametrize("ns", [(1, 0, 0), (0, 0, 2), (3, 0, 0)])
+@pytest.mark.parametrize("s", [0, -1])
+@pytest.mark.parametrize("z", [0j, 0.3 + 0.2j])
+def test_closed_table_rows_bit_equal_one_row_calls(ns, s, z):
+    # scalar squares must round like the table's array squares: x * x, never C pow
+    table = bogoliubov_table(np.random.default_rng(7).uniform(-6.0, 6.0, (4000, 3)))
+    one_row = [wigner_closed(BogoliubovCoeffs(c, d), ns, z, s) for c, d in zip(table.c, table.d)]
+    assert np.array_equal(wigner_closed(table, ns, z, s), one_row)
