@@ -32,7 +32,6 @@ from .quasiprob import (
 )
 from .symplectic import (
     BogoliubovCoeffs,
-    BogoliubovTable,
     SqueezeParams,
     SymplecticReport,
     bogoliubov_coeffs,
@@ -43,7 +42,6 @@ from .symplectic import (
 
 __all__ = [
     "BogoliubovCoeffs",
-    "BogoliubovTable",
     "CoherentState",
     "InputState",
     "LadderPolynomial",

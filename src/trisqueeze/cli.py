@@ -31,9 +31,8 @@ import numpy as np
 
 from .fock_oracle import FockCutoff, SqueezePropagator, TruncationLeakageError, oracle_report
 from .ladder import InputState
-from .moments import QuadratureSelector, UndefinedMomentError, cauchy_schwarz, g2, squeezing
+from .moments import QuadratureSelector, cauchy_schwarz, g2, squeezing
 from .quasiprob import (
-    PFunctionSingularError,
     closed_form_slot,
     wigner_aux,
     wigner_closed,
@@ -147,11 +146,11 @@ _R_CELLS = "%.17g,%.17g,%.17g,"
 def _sweep_csv(args, header, row_format, evaluate):
     """CSV of a coupling sweep, one row per (r1, r2, r3), r1-major.
 
-    ``evaluate(table)`` returns the value columns of all rows of a
-    BogoliubovTable at once; ``row_format`` holds one %.17g per coupling and
-    value column.  The error is the one a row-by-row loop meets first: a row
-    outside the coupling guards is refused only after the rows before it have
-    passed the moment guards.
+    ``evaluate(table)`` returns the value columns of all rows of the
+    ``bogoliubov_table`` stack at once; ``row_format`` holds one %.17g per
+    coupling and value column.  The error is the one a row-by-row loop meets
+    first: a row outside the coupling guards is refused only after the rows
+    before it have passed the moment guards.
     """
     triples = np.array(_parse_params(args), dtype=float)
     valid = valid_prefix(triples)
@@ -362,13 +361,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (
-        UndefinedMomentError,
-        TruncationLeakageError,
-        PFunctionSingularError,
-        ValueError,
-        ArithmeticError,
-    ) as exc:
+    except (TruncationLeakageError, ValueError, ArithmeticError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
     return 0

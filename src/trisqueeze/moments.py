@@ -11,8 +11,8 @@ with m1[i] = <A_i>, m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l>
 built once per state by the exact normal-ordering engine (``ladder``), so one
 code path serves number states, coherent states and any couplings.
 
-Every function takes either one ``BogoliubovCoeffs`` or a ``BogoliubovTable``
-of P coupling triples; with a table, the rows U_j, V_j are (P, 6) stacks and
+Every function takes a ``BogoliubovCoeffs`` of one coupling triple or of a
+stack of P triples; with a stack, the rows U_j, V_j are (P, 6) stacks and
 each moment is one contraction over all P rows, returning a (P,) array.
 """
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ladder import InputState, LadderPolynomial, _mode_index, expectation, normal_order
-from .symplectic import BogoliubovCoeffs, BogoliubovTable
+from .symplectic import BogoliubovCoeffs
 
 MEAN_PHOTON_FLOOR = 1e-12
 _HERMITIAN_IMAG_TOL = 1e-9
@@ -127,7 +127,7 @@ def _contract(state, *rows):
     return ((left @ tensor) * right).sum(axis=-1)
 
 
-def _rows(coeffs: BogoliubovCoeffs | BogoliubovTable, mode):
+def _rows(coeffs: BogoliubovCoeffs, mode):
     """(U, V) of one output mode: S+ a_mode S = U.A and its adjoint is V.A."""
     j = _mode_index(mode)
     c, d = coeffs.c[..., j, :], coeffs.d[..., j, :]
@@ -149,9 +149,7 @@ def quadrature_variances(coeffs, sel, state):
     return tuple(out)
 
 
-def squeezing(
-    coeffs: BogoliubovCoeffs | BogoliubovTable, sel: QuadratureSelector, state: InputState
-):
+def squeezing(coeffs: BogoliubovCoeffs, sel: QuadratureSelector, state: InputState):
     """(S_x, S_y) with S = (2<dQ^2> - C)/C; negative values mean squeezing."""
     var_x, var_y = quadrature_variances(coeffs, sel, state)
     c = sel.normalizer
@@ -202,13 +200,13 @@ def cauchy_schwarz_ratio(intensity_j, intensity_k, cross, j, k):
     return np.sqrt(np.maximum(product, 0.0)) / cross - 1.0
 
 
-def g2(coeffs: BogoliubovCoeffs | BogoliubovTable, state: InputState, mode: int):
+def g2(coeffs: BogoliubovCoeffs, state: InputState, mode: int):
     """Second-order correlation <a+2 a2>/<a+ a>^2 - 1; negative is sub-Poissonian."""
     mean = mean_photon(coeffs, state, mode)
     return g2_ratio(intensity_correlation(coeffs, state, mode), mean, mode)
 
 
-def cauchy_schwarz(coeffs: BogoliubovCoeffs | BogoliubovTable, state: InputState, j: int, k: int):
+def cauchy_schwarz(coeffs: BogoliubovCoeffs, state: InputState, j: int, k: int):
     """Cauchy-Schwarz ratio V_jk; positive values are classically forbidden."""
     if j == k:
         raise ValueError("Cauchy-Schwarz ratio needs two distinct modes")

@@ -11,9 +11,10 @@ Fourier transform W(z, s) is evaluated two ways, both exact: a closed Laguerre
 sum for vacuum or a single excited slot (mode 1 or mode 3), and a Hermite
 series for every pattern with n_j <= NUMERIC_N_MAX (``wigner_series``, gridded
 by ``wigner_numeric``).  Both reduce to the familiar number-state distribution
-when all couplings vanish, and both take a BogoliubovTable of P coupling
-triples and return a stack with a leading P axis.  Against a 60-digit mpmath
-evaluation the series holds 1e-12 of max|W| for n_j <= 6 and |r_j| <= 2.
+when all couplings vanish, and both take a BogoliubovCoeffs stack of P
+coupling triples and return a stack with a leading P axis.  Against a
+60-digit mpmath evaluation the series holds 1e-12 of max|W| for n_j <= 6 and
+|r_j| <= 2.
 
 Closed-form stability note: the Laguerre sum is computed through the
 homogenized polynomials t_k(eta, c) = eta^k L_k^{-1/2}(c/eta), which stay
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symplectic import BogoliubovCoeffs, BogoliubovTable
+from .symplectic import BogoliubovCoeffs
 
 LAGUERRE_K_MAX = 60
 EXCITED_N_MAX = 20
@@ -127,26 +128,21 @@ class WignerAux:
     slot: str | None
 
 
-def _mode1_row(coeffs):
-    """(f1, f2, g1, g2, h1, h2) of output mode 1: scalars, or (P,) arrays for a table."""
-    return tuple(m[..., 0, k][()] for k in range(3) for m in (coeffs.c, coeffs.d))
-
-
 def _against(z, *params):
     """Row parameters shaped to broadcast against z: a (P,) stack becomes (P, 1, ..., 1)."""
     return [p if np.ndim(p) == 0 else np.reshape(p, np.shape(p) + (1,) * z.ndim) for p in params]
 
 
-def wigner_aux(coeffs: BogoliubovCoeffs | BogoliubovTable, s: int, slot: str | None = None) -> WignerAux:
-    """Kernel parameters of one coefficient set; (P,) array fields for a BogoliubovTable."""
+def wigner_aux(coeffs: BogoliubovCoeffs, s: int, slot: str | None = None) -> WignerAux:
+    """Kernel parameters of one coefficient set; (P,) array fields for a stack of P triples."""
     s = _check_ordering(s)
-    f1, f2, g1, g2, h1, h2 = _mode1_row(coeffs)
+    f1, f2, g1, g2, h1, h2 = coeffs.mode_row(1)
     lambda1 = f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2 + h1 * h1 + h2 * h2
     lambda2 = f1 * f2 + g1 * g2 + h1 * h2
     b = 0.5 * (lambda1 - s)
     theta_plus = b + lambda2
     theta_minus = b - lambda2
-    # x * x, not x ** 2: numpy scalars square through C pow, which can miss the table row by an ulp
+    # x * x, not x ** 2: numpy scalars square through C pow, which can miss the stacked row by an ulp
     if slot is None:
         eta_plus = eta_minus = None
     elif slot in ("mode1", "mode3"):
@@ -169,7 +165,7 @@ def wigner_aux(coeffs: BogoliubovCoeffs | BogoliubovTable, s: int, slot: str | N
     )
 
 
-def wigner_vacuum(coeffs: BogoliubovCoeffs | BogoliubovTable, z, s: int):
+def wigner_vacuum(coeffs: BogoliubovCoeffs, z, s: int):
     """Gaussian quasidistribution of mode 1 for three-mode squeezed vacuum."""
     aux = wigner_aux(coeffs, s)
     tp, tm = aux.theta_plus, aux.theta_minus
@@ -183,7 +179,7 @@ def wigner_vacuum(coeffs: BogoliubovCoeffs | BogoliubovTable, z, s: int):
     return out if out.ndim else float(out)
 
 
-def wigner_excited(coeffs: BogoliubovCoeffs | BogoliubovTable, n: int, slot: str, z, s: int):
+def wigner_excited(coeffs: BogoliubovCoeffs, n: int, slot: str, z, s: int):
     """Closed-form quasidistribution of mode 1 with n photons in one input slot.
 
     slot="mode3" is the input (0, 0, n); slot="mode1" is (n, 0, 0).  The value
@@ -203,7 +199,7 @@ def wigner_excited(coeffs: BogoliubovCoeffs | BogoliubovTable, n: int, slot: str
         raise ValueError(f"n = {n} exceeds the closed-form guard {EXCITED_N_MAX}")
     s = _check_ordering(s, allowed=(-1, 0))
     aux = wigner_aux(coeffs, s, slot=slot)
-    f1, f2, _, _, h1, h2 = _mode1_row(coeffs)
+    f1, f2, _, _, h1, h2 = coeffs.mode_row(1)
     c, d = (h1, h2) if slot == "mode3" else (f1, f2)
     z = np.asarray(z, dtype=complex)
     tp, tm, eta_plus, eta_minus, a_plus, a_minus = _against(
@@ -263,11 +259,11 @@ def closed_form_slot(ns):
     return None
 
 
-def wigner_closed(coeffs: BogoliubovCoeffs | BogoliubovTable, ns, z, s: int):
+def wigner_closed(coeffs: BogoliubovCoeffs, ns, z, s: int):
     """Dispatch to a closed form when the input occupation pattern has one.
 
     Returns None for patterns with photons in mode 2 or in several slots.  A
-    BogoliubovTable gives values of shape (P,) + z.shape.
+    stack of P triples gives values of shape (P,) + z.shape.
     """
     pattern = closed_form_slot(ns)
     if pattern is None:
@@ -330,7 +326,7 @@ def _fourier_factors(axis, theta, degree):
     return _hermite(2 * degree, om)[..., 0::2] * (np.exp(-om * om / 2.0)[..., None] * signs)
 
 
-def wigner_series(coeffs: BogoliubovCoeffs | BogoliubovTable, ns, xs, ys, s: int):
+def wigner_series(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
     """W(xs[i] + 1j*ys[j], s) of a number-state input by the exact Hermite series.
 
     With zeta = u + iv, t = sqrt(2 tm) u and t' = sqrt(2 tp) v, the characteristic
@@ -344,7 +340,7 @@ def wigner_series(coeffs: BogoliubovCoeffs | BogoliubovTable, ns, xs, ys, s: int
                     / (pi sqrt(tp tm)).
 
     The phi_m are bounded and orthonormal, so the sum does not cancel.
-    Returns (nx, ny) values, or (P, nx, ny) for a BogoliubovTable.
+    Returns (nx, ny) values, or (P, nx, ny) for a stack of P triples.
     """
     s = _check_ordering(s, allowed=(-1, 0))
     ns = _occupations(ns)
@@ -356,7 +352,7 @@ def wigner_series(coeffs: BogoliubovCoeffs | BogoliubovTable, ns, xs, ys, s: int
     degree = sum(ns)
     w, projector = _hermite_projector(degree)
     char = np.ones((theta_plus.shape[0], w.size, w.size))
-    for (c, d), n in zip(np.reshape(_mode1_row(coeffs), (3, 2, -1, 1, 1)), ns):
+    for (c, d), n in zip(np.reshape(coeffs.mode_row(1), (3, 2, -1, 1, 1)), ns):
         char = char * laguerre(n, 0.0, (c - d) ** 2 / theta_minus * w[:, None]
                                + (c + d) ** 2 / theta_plus * w)
     core = projector.T @ char @ projector
@@ -368,8 +364,8 @@ def wigner_series(coeffs: BogoliubovCoeffs | BogoliubovTable, ns, xs, ys, s: int
     return values if np.ndim(coeffs.c) == 3 else values[0]
 
 
-def wigner_numeric(coeffs: BogoliubovCoeffs | BogoliubovTable, ns, xs, ys, s: int) -> QuasiprobGrid:
-    """Grid of the exact Hermite series (``wigner_series``); a (P, nx, ny) stack for a table.
+def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int) -> QuasiprobGrid:
+    """Grid of the exact Hermite series (``wigner_series``); a (P, nx, ny) stack for P triples.
 
     The name predates the series, which replaced an adaptive quadrature, and is
     kept because the benchmark tracer in ``perfbench/spans.py`` patches it.

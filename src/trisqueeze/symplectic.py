@@ -15,13 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .ladder import _mode_index
 
-R_MAX = 10.0  # cosh(2 * R_MAX) ~ 2.4e8; beyond this, fourth moments overflow
+# Not an overflow limit: at R_MAX, max|c| is 8.1e7 and its fourth power 4.3e31.
+# The absolute symplectic_check residuals grow like max|c|^2 times the float
+# epsilon and exceed ACCEPT_RESIDUAL from about r = 4 on the symmetric line
+# (2.3e-10 at r = 4, 5.0 at r = 10) and from about r = 5.5 on (r, 0.7r, 0.4r)
+# (9.3e-10 at r = 6).
+R_MAX = 10.0
 
 _MODE_KEYS = ("mode1", "mode2", "mode3")
 _COEFF_KEYS = ("f1", "f2", "g1", "g2", "h1", "h2")
@@ -86,6 +90,8 @@ class BogoliubovCoeffs:
     Row j of ``c`` holds the annihilation-operator coefficients (f1, g1, h1)
     of output mode j+1, row j of ``d`` the creation-operator coefficients
     (f2, g2, h2).  For a unitary transform c = cosh(R) and d = -sinh(R).
+    ``c`` and ``d`` are (3, 3) for one coupling triple, or (P, 3, 3) for a
+    stack of P triples whose tables are ``c[p]`` and ``d[p]``.
     """
 
     c: np.ndarray
@@ -94,8 +100,10 @@ class BogoliubovCoeffs:
     def __post_init__(self):
         c = np.array(self.c, dtype=float)
         d = np.array(self.d, dtype=float)
-        if c.shape != (3, 3) or d.shape != (3, 3):
-            raise ValueError("coefficient tables must be 3x3")
+        if c.shape != d.shape:
+            raise ValueError(f"c and d must have the same shape, got {c.shape} and {d.shape}")
+        if c.ndim not in (2, 3) or c.shape[-2:] != (3, 3):
+            raise ValueError(f"coefficient tables must be (3, 3) or (P, 3, 3), got {c.shape}")
         if not (np.isfinite(c).all() and np.isfinite(d).all()):
             raise ValueError("coefficient tables must be finite")
         c.setflags(write=False)
@@ -108,29 +116,17 @@ class BogoliubovCoeffs:
         return cls(c=np.eye(3), d=np.zeros((3, 3)))
 
     def mode_row(self, mode):
-        """(f1, f2, g1, g2, h1, h2) of one output mode (1-based)."""
+        """(f1, f2, g1, g2, h1, h2) of one output mode (1-based); (P,) arrays for a stack."""
         j = _mode_index(mode)
-        return (
-            self.c[j, 0], self.d[j, 0],
-            self.c[j, 1], self.d[j, 1],
-            self.c[j, 2], self.d[j, 2],
-        )
+        return tuple(m[..., j, k][()] for k in range(3) for m in (self.c, self.d))
 
     def to_json_dict(self):
-        """Nested dict with keys "mode1".."mode3", each "f1".."h2"."""
+        """Nested dict with keys "mode1".."mode3", each "f1".."h2", of one coupling triple."""
         out = {}
         for j, mode_key in enumerate(_MODE_KEYS):
             row = self.mode_row(j + 1)
             out[mode_key] = {key: float(val) for key, val in zip(_COEFF_KEYS, row)}
         return out
-
-
-class BogoliubovTable(NamedTuple):
-    """The tables of P coupling triples, stacked: ``c[p]`` and ``d[p]`` are row p's
-    BogoliubovCoeffs tables, so ``c`` and ``d`` have shape (P, 3, 3)."""
-
-    c: np.ndarray
-    d: np.ndarray
 
 
 def valid_prefix(triples) -> int:
@@ -139,11 +135,12 @@ def valid_prefix(triples) -> int:
     return int(ok.argmin()) if not ok.all() else ok.size
 
 
-def bogoliubov_table(triples) -> BogoliubovTable:
+def bogoliubov_table(triples) -> BogoliubovCoeffs:
     """cosh/sinh of P coupling matrices via one stacked real symmetric eigendecomposition.
 
-    ``triples`` holds P rows (r1, r2, r3).  A row outside the SqueezeParams
-    guards raises that guard's message for the first such row.
+    ``triples`` holds P rows (r1, r2, r3); the result is a (P, 3, 3) stack.  A
+    row outside the SqueezeParams guards raises that guard's message for the
+    first such row.
     """
     r = np.asarray(triples, dtype=float).reshape(-1, 3)
     first_bad = valid_prefix(r)
@@ -153,9 +150,7 @@ def bogoliubov_table(triples) -> BogoliubovTable:
     vt = eigvecs.transpose(0, 2, 1)
     c = (eigvecs * np.cosh(eigvals)[:, None, :]) @ vt
     d = -(eigvecs * np.sinh(eigvals)[:, None, :]) @ vt
-    if not (np.isfinite(c).all() and np.isfinite(d).all()):
-        raise ValueError("coefficient tables must be finite")
-    return BogoliubovTable(c=c, d=d)
+    return BogoliubovCoeffs(c=c, d=d)
 
 
 def bogoliubov_coeffs(params: SqueezeParams) -> BogoliubovCoeffs:
@@ -197,7 +192,9 @@ class SymplecticReport:
 
 
 def symplectic_check(coeffs: BogoliubovCoeffs) -> SymplecticReport:
-    """Residual report; a transform is accepted when every residual < 1e-10."""
+    """Residual report of one coupling triple; accepted when every residual < 1e-10."""
+    if coeffs.c.ndim != 2:
+        raise ValueError(f"symplectic_check takes one coupling triple, got {coeffs.c.shape}")
     gram = coeffs.c @ coeffs.c.T - coeffs.d @ coeffs.d.T
     skew = coeffs.c @ coeffs.d.T - coeffs.d @ coeffs.c.T
     pairs = ((0, 1), (0, 2), (1, 2))

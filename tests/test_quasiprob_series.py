@@ -7,7 +7,7 @@ in 60-digit mpmath (``reference_quasiprob.wigner_mpmath``); the measured
 worst case is about 6e-15.  The series also agrees with the
 test-side adaptive quadrature within 1e-8, that quadrature's own tolerance,
 and with the closed forms of the single-slot patterns up to n = 10 within
-1e-12 of max|W|.  A BogoliubovTable gives the rows of one-row calls.
+1e-12 of max|W|.  A stacked BogoliubovCoeffs gives the rows of one-row calls.
 """
 
 import numpy as np

@@ -114,6 +114,12 @@ def test_symplectic_check_identity():
     assert report.max_residual == 0.0
 
 
+def test_symplectic_check_refuses_a_stack():
+    # with P = 3, c @ c.T would broadcast over the wrong axes without an error
+    with pytest.raises(ValueError, match=r"one coupling triple, got \(3, 3, 3\)"):
+        symplectic_check(bogoliubov_table([(0.1, 0.2, 0.3), (0.5, 0.1, 0.0), (1.0, 0.2, 0.3)]))
+
+
 def test_symplectic_check_norms_construction():
     report = symplectic_check(bogoliubov_coeffs(SqueezeParams(0.6, 0.8, 0.9)))
     assert report.max_residual < 1e-12
@@ -188,3 +194,45 @@ def test_table_guard_names_first_offending_row(rows, message):
     bad = next(i for i, row in enumerate(rows) if not all(abs(v) <= R_MAX for v in row))
     assert valid_prefix(rows) == bad
     assert valid_prefix(rows[:bad]) == bad
+
+
+def test_coeffs_accept_one_triple_or_a_stack(rng):
+    one = BogoliubovCoeffs(c=np.eye(3), d=np.zeros((3, 3)))
+    assert one.c.shape == one.d.shape == (3, 3)
+    stack = BogoliubovCoeffs(c=rng.normal(size=(5, 3, 3)), d=rng.normal(size=(5, 3, 3)))
+    assert stack.c.shape == stack.d.shape == (5, 3, 3)
+    assert BogoliubovCoeffs(c=np.zeros((0, 3, 3)), d=np.zeros((0, 3, 3))).c.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("c, d, message", [
+    (np.eye(3), np.zeros((2, 3, 3)), "c and d must have the same shape, got (3, 3) and (2, 3, 3)"),
+    (np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 3, 3)),
+     "coefficient tables must be (3, 3) or (P, 3, 3), got (1, 2, 3, 3)"),
+    (np.zeros((3, 4)), np.zeros((3, 4)),
+     "coefficient tables must be (3, 3) or (P, 3, 3), got (3, 4)"),
+    (np.full((2, 3, 3), np.nan), np.zeros((2, 3, 3)), "coefficient tables must be finite"),
+    (np.eye(3), np.diag([0.0, np.inf, 0.0]), "coefficient tables must be finite"),
+])
+def test_coeffs_reject_malformed_tables(c, d, message):
+    with pytest.raises(ValueError) as excinfo:
+        BogoliubovCoeffs(c=c, d=d)
+    assert str(excinfo.value) == message
+
+
+def test_table_arrays_are_read_only():
+    table = bogoliubov_table([(0.3, -0.2, 0.5), (1.1, 0.0, -0.4)])
+    for array in (table.c, table.d):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = 1.0
+
+
+def test_stacked_mode_row_equals_per_row_mode_row(rng):
+    triples = rng.uniform(-3.0, 3.0, (9, 3))
+    table = bogoliubov_table(triples)
+    for mode in (1, 2, 3):
+        stacked = table.mode_row(mode)
+        assert all(np.shape(value) == (len(triples),) for value in stacked)
+        for p, triple in enumerate(triples):
+            row = bogoliubov_coeffs(SqueezeParams(*triple)).mode_row(mode)
+            assert all(np.ndim(value) == 0 for value in row)
+            assert [value[p] for value in stacked] == list(row)
