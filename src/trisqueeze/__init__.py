@@ -33,7 +33,6 @@ from .quasiprob import (
 from .symplectic import (
     BogoliubovCoeffs,
     SqueezeParams,
-    SymplecticReport,
     bogoliubov_coeffs,
     bogoliubov_table,
     coupling_matrix,
@@ -50,7 +49,6 @@ __all__ = [
     "QuadratureSelector",
     "QuasiprobGrid",
     "SqueezeParams",
-    "SymplecticReport",
     "UndefinedMomentError",
     "WignerAux",
     "bogoliubov_coeffs",

@@ -177,7 +177,9 @@ def _json_text(payload):
 def cmd_coeffs(args):
     (triple,) = _require_scalar_params(args)
     coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
-    _emit(args, _json_text(coeffs.to_json_dict()))
+    keys = ("f1", "f2", "g1", "g2", "h1", "h2")
+    _emit(args, _json_text({f"mode{mode}": dict(zip(keys, map(float, coeffs.mode_row(mode))))
+                            for mode in (1, 2, 3)}))
 
 
 def _require_scalar_params(args):

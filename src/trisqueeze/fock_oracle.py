@@ -40,7 +40,6 @@ from .symplectic import SqueezeParams, bogoliubov_coeffs
 CUTOFF_MIN = 4
 CUTOFF_MAX = 15
 LEAKAGE_TOL = 1e-8
-WIGNER_TAIL_TOL = 1e-8
 WIGNER_PAD = 16  # zero rows/columns of headroom for the displacement operator
 MONOMIAL_DEGREE_MAX = 4  # per mode
 
@@ -82,14 +81,12 @@ class TruncationReport:
 
 
 class TruncationLeakageError(RuntimeError):
-    """Raised when truncation leakage exceeds the oracle's validity threshold."""
+    """Raised when truncation leakage reaches the oracle's validity threshold; ``report``
+    is the evolved state's TruncationReport, None for a refused single-mode rho."""
 
-    def __init__(self, report):
+    def __init__(self, message, report=None):
         self.report = report
-        super().__init__(
-            f"truncation leakage above threshold: norm defect {report.norm_defect:.3e}, "
-            f"top-shell occupations {tuple(f'{t:.3e}' for t in report.top_shell)}"
-        )
+        super().__init__(message)
 
 
 def _coherent_vector(alpha, size):
@@ -200,7 +197,9 @@ def apply_squeeze(propagator: SqueezePropagator, state: TruncatedState) -> Trunc
     evolved = propagator.apply(state)
     report = truncation_report(evolved)
     if not report.ok():
-        raise TruncationLeakageError(report)
+        raise TruncationLeakageError(
+            f"truncation leakage above threshold: norm defect {report.norm_defect:.3e}, "
+            f"top-shell occupations {tuple(f'{t:.3e}' for t in report.top_shell)}", report)
     return evolved
 
 
@@ -269,18 +268,20 @@ def oracle_wigner(rho: np.ndarray, z: complex, s: int) -> float:
     """Quasidistribution of a single-mode density matrix.
 
     s=0 uses the displaced-parity form (2/pi) Tr[rho D(z) P D(-z)]; s=-1 is
-    the Husimi value <z|rho|z>/pi.  The top Fock occupation must be negligible
-    for the truncated value to stand in for the exact one; WIGNER_PAD zero
-    rows/columns give the displacement operator headroom above the state's
-    support (without it, |z| ~ 1.4 points lose ~1e-4 of accuracy).
+    the Husimi value <z|rho|z>/pi.  The top Fock occupation must stay below
+    LEAKAGE_TOL for the truncated value to stand in for the exact one;
+    WIGNER_PAD zero rows/columns give the displacement operator headroom above
+    the state's support (without it, |z| ~ 1.4 points lose ~1e-4 of accuracy).
     """
     rho = np.asarray(rho)
     size = rho.shape[0]
     if rho.shape != (size, size):
         raise ValueError("rho must be square")
-    if abs(rho[-1, -1]) > WIGNER_TAIL_TOL:
+    top = abs(rho[-1, -1])
+    if top >= LEAKAGE_TOL:
         raise TruncationLeakageError(
-            TruncationReport(norm_defect=0.0, top_shell=(abs(rho[-1, -1]),) * 3)
+            f"truncation leakage at or above threshold: top Fock occupation {top:.3e} "
+            f"of the single-mode state, threshold {LEAKAGE_TOL:.0e}"
         )
     if s == -1:
         coh = _coherent_vector(complex(z), size)

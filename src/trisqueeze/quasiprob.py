@@ -88,21 +88,21 @@ def char_fn(coeffs: BogoliubovCoeffs, ns, zeta, s: int):
 
     C(zeta, s) = exp[-(|v1|^2+|v2|^2+|v3|^2)/2 + s|zeta|^2/2]
                  * L_{n1}(|v1|^2) L_{n2}(|v2|^2) L_{n3}(|v3|^2),
-    real-valued because the transform coefficients are real.
+    real-valued because the transform coefficients are real.  A stack of P
+    triples gives values of shape (P,) + zeta.shape.
     """
     s = _check_ordering(s)
     n1, n2, n3 = _occupations(ns)
-    f1, f2, g1, g2, h1, h2 = coeffs.mode_row(1)
     zeta = np.asarray(zeta, dtype=complex)
-    out = np.ones(zeta.shape, dtype=float)
-    total = np.zeros(zeta.shape, dtype=float)
+    f1, f2, g1, g2, h1, h2 = _against(zeta, *coeffs.mode_row(1))
+    out, total = 1.0, 0.0
     for (c1_, c2_), n in (((f1, f2), n1), ((g1, g2), n2), ((h1, h2), n3)):
         v = zeta * c1_ - np.conj(zeta) * c2_
         mag2 = (v * np.conj(v)).real
-        total += mag2
+        total = total + mag2
         if n:
-            out *= laguerre(n, 0.0, mag2)
-    out *= np.exp(-0.5 * total + 0.5 * s * (zeta * np.conj(zeta)).real)
+            out = out * laguerre(n, 0.0, mag2)
+    out = out * np.exp(-0.5 * total + 0.5 * s * (zeta * np.conj(zeta)).real)
     return out if out.ndim else float(out)
 
 
@@ -219,9 +219,9 @@ def wigner_excited(coeffs: BogoliubovCoeffs, n: int, slot: str, z, s: int):
     return out if out.ndim else float(out)
 
 
-def wigner_origin(coeffs: BogoliubovCoeffs, n3: int, s: int) -> float:
-    """Phase-space-origin value for the input (0, 0, n3)."""
-    return float(wigner_excited(coeffs, n3, "mode3", 0j, s))
+def wigner_origin(coeffs: BogoliubovCoeffs, n3: int, s: int):
+    """Phase-space-origin value for the input (0, 0, n3); a (P,) array for a stack of P triples."""
+    return wigner_excited(coeffs, n3, "mode3", 0j, s)
 
 
 def fock_limit_wigner(n: int, z, s: int):

@@ -9,6 +9,10 @@ where R is the symmetric zero-diagonal matrix of pair couplings.  The matrix
 functions are taken through the eigendecomposition of R, which reproduces the
 printed equal-coupling closed forms exactly: r*(J - I) has eigenvalue 2r on
 (1,1,1) and a doubly degenerate eigenvalue -r.
+
+A unitary transform keeps [a_j, a_k+] = delta_jk and [a_j, a_k] = 0;
+``symplectic_check`` returns how far a coefficient table, or each table of a
+stack, misses them, as absolute residual matrices.
 """
 
 from __future__ import annotations
@@ -21,15 +25,11 @@ import numpy as np
 from .ladder import _mode_index
 
 # Not an overflow limit: at R_MAX, max|c| is 8.1e7 and its fourth power 4.3e31.
-# The absolute symplectic_check residuals grow like max|c|^2 times the float
-# epsilon and exceed ACCEPT_RESIDUAL from about r = 4 on the symmetric line
-# (2.3e-10 at r = 4, 5.0 at r = 10) and from about r = 5.5 on (r, 0.7r, 0.4r)
-# (9.3e-10 at r = 6).
+# The entries of symplectic_check's absolute residual matrices grow like
+# max|c|^2 times the float epsilon, and their maximum exceeds ACCEPT_RESIDUAL
+# from about r = 4 on the symmetric line (2.3e-10 at r = 4, 5.0 at r = 10) and
+# from about r = 5.5 on (r, 0.7r, 0.4r) (9.3e-10 at r = 6).
 R_MAX = 10.0
-
-_MODE_KEYS = ("mode1", "mode2", "mode3")
-_COEFF_KEYS = ("f1", "f2", "g1", "g2", "h1", "h2")
-
 
 def _validated_strength(name, value):
     value = float(value)
@@ -120,14 +120,6 @@ class BogoliubovCoeffs:
         j = _mode_index(mode)
         return tuple(m[..., j, k][()] for k in range(3) for m in (self.c, self.d))
 
-    def to_json_dict(self):
-        """Nested dict with keys "mode1".."mode3", each "f1".."h2", of one coupling triple."""
-        out = {}
-        for j, mode_key in enumerate(_MODE_KEYS):
-            row = self.mode_row(j + 1)
-            out[mode_key] = {key: float(val) for key, val in zip(_COEFF_KEYS, row)}
-        return out
-
 
 def valid_prefix(triples) -> int:
     """Number of leading (r1, r2, r3) rows that SqueezeParams accepts."""
@@ -159,47 +151,19 @@ def bogoliubov_coeffs(params: SqueezeParams) -> BogoliubovCoeffs:
     return BogoliubovCoeffs(c=table.c[0], d=table.d[0])
 
 
+# A transform is accepted when every entry of both symplectic_check residuals is below this.
 ACCEPT_RESIDUAL = 1e-10
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
-    """Absolute residuals of the commutation-preservation identities.
+def symplectic_check(coeffs: BogoliubovCoeffs):
+    """Absolute residuals (norm, comm) of the commutation relations the transform must keep.
 
-    ``mode_normalization``:  |sum_k c_jk^2 - d_jk^2 - 1| per output mode,
-    from [S+ a_j S, (S+ a_j S)+] = 1.
-    ``mixed_commutators``:   |(c c^T - d d^T)_jk| for the pairs (1,2), (1,3),
-    (2,3), from [S+ a_j S, (S+ a_k S)+] = 0.
-    ``annihilator_commutators``: |(c d^T - d c^T)_jk| for the same pairs,
-    from [S+ a_j S, S+ a_k S] = 0.
+    ``norm`` = |c c^T - d d^T - I|: its diagonal holds the mode normalizations,
+    from [S+ a_j S, (S+ a_j S)+] = 1, and its off-diagonal entries the mixed
+    commutators, from [S+ a_j S, (S+ a_k S)+] = 0.  ``comm`` = |c d^T - d c^T|
+    holds the annihilator commutators, from [S+ a_j S, S+ a_k S] = 0.  Both are
+    (3, 3) for one coupling triple and (P, 3, 3) for a stack of P triples.
     """
-
-    mode_normalization: tuple
-    mixed_commutators: tuple
-    annihilator_commutators: tuple
-
-    @property
-    def max_residual(self):
-        return max(
-            max(self.mode_normalization),
-            max(self.mixed_commutators),
-            max(self.annihilator_commutators),
-        )
-
-    @property
-    def ok(self):
-        return self.max_residual < ACCEPT_RESIDUAL
-
-
-def symplectic_check(coeffs: BogoliubovCoeffs) -> SymplecticReport:
-    """Residual report of one coupling triple; accepted when every residual < 1e-10."""
-    if coeffs.c.ndim != 2:
-        raise ValueError(f"symplectic_check takes one coupling triple, got {coeffs.c.shape}")
-    gram = coeffs.c @ coeffs.c.T - coeffs.d @ coeffs.d.T
-    skew = coeffs.c @ coeffs.d.T - coeffs.d @ coeffs.c.T
-    pairs = ((0, 1), (0, 2), (1, 2))
-    return SymplecticReport(
-        mode_normalization=tuple(abs(gram[j, j] - 1.0) for j in range(3)),
-        mixed_commutators=tuple(abs(gram[j, k]) for j, k in pairs),
-        annihilator_commutators=tuple(abs(skew[j, k]) for j, k in pairs),
-    )
+    c, d = coeffs.c, coeffs.d
+    ct, dt = c.swapaxes(-1, -2), d.swapaxes(-1, -2)
+    return np.abs(c @ ct - d @ dt - np.eye(3)), np.abs(c @ dt - d @ ct)

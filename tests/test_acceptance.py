@@ -71,7 +71,8 @@ def test_c02_symplectic_residuals():
     worst = 0.0
     for _ in range(200):
         coeffs = bogoliubov_coeffs(SqueezeParams(*rng.uniform(0.0, 2.0, 3)))
-        worst = max(worst, symplectic_check(coeffs).max_residual)
+        norm, comm = symplectic_check(coeffs)
+        worst = max(worst, norm.max(), comm.max())
     report(2, worst < 1e-10, f"200 random triples in [0,2]^3, max residual = {worst:.2e}")
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze.fock_oracle import (
+    LEAKAGE_TOL,
     FockCutoff,
     SqueezePropagator,
     TruncatedState,
@@ -331,8 +332,18 @@ def test_oracle_wigner_fock_values():
 def test_oracle_wigner_tail_guard():
     rho = np.zeros((6, 6), dtype=complex)
     rho[5, 5] = 1.0
-    with pytest.raises(TruncationLeakageError):
+    with pytest.raises(TruncationLeakageError) as excinfo:
         oracle_wigner(rho, 0j, 0)
+    assert str(excinfo.value) == (
+        "truncation leakage at or above threshold: top Fock occupation 1.000e+00 "
+        "of the single-mode state, threshold 1e-08")
+    assert excinfo.value.report is None
+    # the bound itself is refused, as apply_squeeze refuses it; just below passes
+    rho[0, 0], rho[5, 5] = 1.0 - LEAKAGE_TOL, LEAKAGE_TOL
+    with pytest.raises(TruncationLeakageError, match="top Fock occupation 1.000e-08 "):
+        oracle_wigner(rho, 0j, -1)
+    rho[0, 0], rho[5, 5] = 1.0, 0.99 * LEAKAGE_TOL
+    assert oracle_wigner(rho, 0j, -1) == pytest.approx(1.0 / math.pi)
     clean = np.zeros((6, 6), dtype=complex)
     clean[0, 0] = 1.0
     with pytest.raises(ValueError):

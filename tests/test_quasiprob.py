@@ -20,7 +20,12 @@ from trisqueeze.quasiprob import (
     wigner_origin,
     wigner_vacuum,
 )
-from trisqueeze.symplectic import BogoliubovCoeffs, SqueezeParams, bogoliubov_coeffs
+from trisqueeze.symplectic import (
+    BogoliubovCoeffs,
+    SqueezeParams,
+    bogoliubov_coeffs,
+    bogoliubov_table,
+)
 
 from reference_quasiprob import suggest_half_width, wigner_mpmath
 
@@ -106,6 +111,22 @@ def test_char_fn_real_and_vectorized():
     assert values.shape == (3,)
     assert np.isrealobj(values)
     assert values[1] == pytest.approx(char_fn(coeffs, (0, 0, 1), 1.0 + 0j, 0))
+
+
+@pytest.mark.parametrize("ns, s", [((0, 0, 0), 0), ((2, 1, 0), -1), ((1, 3, 2), 1)])
+def test_char_fn_stack_rows_equal_one_triple_calls(rng, ns, s):
+    triples = rng.uniform(-2.0, 2.0, (4, 3))
+    zeta = rng.normal(size=4) + 1j * rng.normal(size=4)  # len(zeta) == P on purpose
+    stacked = char_fn(bogoliubov_table(triples), ns, zeta, s)
+    assert stacked.shape == (4, 4)
+    at_origin = char_fn(bogoliubov_table(triples), ns, 0.3 - 0.2j, s)
+    assert at_origin.shape == (4,)
+    for p, triple in enumerate(triples):
+        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
+        assert np.array_equal(stacked[p], char_fn(coeffs, ns, zeta, s))
+        # a scalar zeta on one triple takes numpy's scalar arithmetic, which may round differently
+        assert at_origin[p] == char_fn(coeffs, ns, [0.3 - 0.2j], s)[0]
+        assert isinstance(char_fn(coeffs, ns, 0.3 - 0.2j, s), float)
 
 
 def test_wigner_aux_theta_matches_quadrature_variances():
@@ -220,6 +241,18 @@ def test_wigner_origin_matches_excited():
             float(wigner_excited(coeffs, n3, "mode3", 0j, 0)), abs=1e-14
         )
     assert wigner_origin(IDENTITY, 0, 0) == pytest.approx(2.0 / math.pi)
+
+
+def test_wigner_origin_stack_rows_equal_one_triple_calls(rng):
+    triples = rng.uniform(-3.0, 3.0, (5, 3))
+    table = bogoliubov_table(triples)
+    for n3 in (0, 1, 2, 5):
+        for s in (-1, 0):
+            stacked = wigner_origin(table, n3, s)
+            assert stacked.shape == (5,)
+            for p, triple in enumerate(triples):
+                one = wigner_origin(bogoliubov_coeffs(SqueezeParams(*triple)), n3, s)
+                assert isinstance(one, float) and stacked[p] == one
 
 
 def test_wigner_origin_even_excitation_nonnegative(rng):

@@ -1,17 +1,24 @@
-"""Pinned public surface: the package's exports and the figure script's outputs.
+"""Pinned public surface: the package's exports, the figure script's outputs
+and the names the benchmark tracer patches.
 
-Dropping an export or a figure, or breaking a figure's invocation, needs a
-visible edit here.
+Dropping an export or a figure, breaking a figure's invocation, or renaming a
+function the tracer names needs a visible edit here.
 """
 
+import importlib
+import importlib.util
+import inspect
 import json
 import math
 import runpy
+import sys
 from pathlib import Path
 
 import trisqueeze
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_figures.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "reproduce_figures.py"
+SPANS = ROOT / "perfbench" / "spans.py"
 
 _CSV_HEADERS = {
     "squeeze-sweep": "r1,r2,r3,c1,c2,Sx,Sy",
@@ -33,7 +40,6 @@ def test_public_api_inventory():
         "QuadratureSelector",
         "QuasiprobGrid",
         "SqueezeParams",
-        "SymplecticReport",
         "UndefinedMomentError",
         "WignerAux",
         "bogoliubov_coeffs",
@@ -92,3 +98,43 @@ def test_reproduce_figures_writes_every_output(tmp_path):
             assert set(json.loads(sidecar.read_text())) == {"aux", "method", "s", "x", "y"}
     assert len(expected) == 33
     assert {path.name for path in tmp_path.iterdir()} == expected
+
+
+def _namespaces():
+    """Attribute dicts of every loaded trisqueeze module and of the classes they define."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "trisqueeze" or name.startswith("trisqueeze.")]
+    classes = [obj for m in modules for obj in vars(m).values()
+               if inspect.isclass(obj) and obj.__module__.startswith("trisqueeze.")]
+    return {id(space): (space, dict(vars(space))) for space in modules + classes}
+
+
+def test_benchmark_tracer_names_resolve_and_uninstall_cleanly():
+    import trisqueeze.cli  # noqa: F401  (loads every module the tracer patches)
+
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pinned = []
+    for modname, attrs in spans.LAYERS.values():
+        module = importlib.import_module(modname)
+        for attr in attrs or ():
+            owner, _, name = attr.rpartition(".")
+            owner = inspect.getattr_static(module, owner) if owner else module
+            pinned.append((owner, name, inspect.getattr_static(owner, name)))
+    assert pinned
+
+    before = _namespaces()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for owner, name, original in pinned:
+            assert inspect.getattr_static(owner, name) is not original, name
+    finally:
+        tracer.uninstall()
+    after = _namespaces()
+    assert after.keys() == before.keys()
+    for key, (space, attrs) in before.items():
+        restored = after[key][1]
+        assert restored.keys() == attrs.keys(), space
+        assert all(restored[name] is value for name, value in attrs.items()), space

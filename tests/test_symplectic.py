@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trisqueeze.cli import main
 from trisqueeze.symplectic import (
+    ACCEPT_RESIDUAL,
     R_MAX,
     BogoliubovCoeffs,
     SqueezeParams,
@@ -104,25 +106,46 @@ def test_negation_parity(r1, r2, r3):
 @given(r1=strengths, r2=strengths, r3=strengths)
 @settings(max_examples=150, deadline=None)
 def test_symplectic_residuals_random(r1, r2, r3):
-    report = symplectic_check(bogoliubov_coeffs(SqueezeParams(r1, r2, r3)))
-    assert report.max_residual < 1e-10
-    assert report.ok
+    norm, comm = symplectic_check(bogoliubov_coeffs(SqueezeParams(r1, r2, r3)))
+    assert norm.shape == comm.shape == (3, 3)
+    worst = max(norm.max(), comm.max())
+    assert worst < 1e-10 and worst < ACCEPT_RESIDUAL
 
 
 def test_symplectic_check_identity():
-    report = symplectic_check(BogoliubovCoeffs.identity())
-    assert report.max_residual == 0.0
+    norm, comm = symplectic_check(BogoliubovCoeffs.identity())
+    assert not norm.any() and not comm.any()
 
 
-def test_symplectic_check_refuses_a_stack():
-    # with P = 3, c @ c.T would broadcast over the wrong axes without an error
-    with pytest.raises(ValueError, match=r"one coupling triple, got \(3, 3, 3\)"):
-        symplectic_check(bogoliubov_table([(0.1, 0.2, 0.3), (0.5, 0.1, 0.0), (1.0, 0.2, 0.3)]))
+PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def nine_residuals(c, d):
+    """Per-entry residuals of one (3, 3) table: mode normalizations, then the
+    mixed and the annihilator commutators of the pairs (1,2), (1,3), (2,3)."""
+    gram = c @ c.T - d @ d.T
+    skew = c @ d.T - d @ c.T
+    return ([abs(gram[j, j] - 1.0) for j in range(3)] + [abs(gram[j, k]) for j, k in PAIRS]
+            + [abs(skew[j, k]) for j, k in PAIRS])
+
+
+def test_symplectic_check_stack_rows_equal_one_triple_calls(rng):
+    # with P = 3, a stack whose matrix products ran over the wrong axes would still broadcast
+    triples = np.concatenate([rng.uniform(-6.0, 6.0, (40, 3)), [[0.1, 0.2, 0.3], [0.0, 0.0, 0.0]]])
+    for rows in (triples[:3], triples):
+        norm, comm = symplectic_check(bogoliubov_table(rows))
+        assert norm.shape == comm.shape == (len(rows), 3, 3)
+        for p, triple in enumerate(rows):
+            coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
+            one_norm, one_comm = symplectic_check(coeffs)
+            assert np.array_equal(norm[p], one_norm) and np.array_equal(comm[p], one_comm)
+            assert ([one_norm[j, j] for j in range(3)] + [one_norm[j, k] for j, k in PAIRS]
+                    + [one_comm[j, k] for j, k in PAIRS]) == nine_residuals(coeffs.c, coeffs.d)
 
 
 def test_symplectic_check_norms_construction():
-    report = symplectic_check(bogoliubov_coeffs(SqueezeParams(0.6, 0.8, 0.9)))
-    assert report.max_residual < 1e-12
+    norm, comm = symplectic_check(bogoliubov_coeffs(SqueezeParams(0.6, 0.8, 0.9)))
+    assert max(norm.max(), comm.max()) < 1e-12
 
 
 def test_symplectic_check_flags_corruption():
@@ -131,20 +154,20 @@ def test_symplectic_check_flags_corruption():
     f1 = c[0, 0]
     c[0, 0] += 0.1
     corrupted = BogoliubovCoeffs(c=c, d=coeffs.d)
-    report = symplectic_check(corrupted)
+    norm, comm = symplectic_check(corrupted)
     # normalization of mode 1 shifts by 2*0.1*f1 + 0.01
-    assert report.mode_normalization[0] == pytest.approx(0.2 * f1 + 0.01, rel=1e-9)
-    assert not report.ok
+    assert norm[0, 0] == pytest.approx(0.2 * f1 + 0.01, rel=1e-9)
+    assert max(norm.max(), comm.max()) >= ACCEPT_RESIDUAL
 
 
-def test_json_round_trip():
+def test_json_round_trip(capsys):
     coeffs = bogoliubov_coeffs(SqueezeParams(0.6, 0.8, 0.9))
-    payload = coeffs.to_json_dict()
+    assert main(["coeffs", "--r1", "0.6", "--r2", "0.8", "--r3", "0.9"]) == 0
+    payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"mode1", "mode2", "mode3"}
     assert set(payload["mode2"]) == {"f1", "f2", "g1", "g2", "h1", "h2"}
-    restored = json.loads(json.dumps(payload))
     for mode in (1, 2, 3):
-        row = restored[f"mode{mode}"]
+        row = payload[f"mode{mode}"]
         assert [row[key] for key in ("f1", "f2", "g1", "g2", "h1", "h2")] == list(coeffs.mode_row(mode))
 
 
