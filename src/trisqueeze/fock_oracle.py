@@ -1,12 +1,15 @@
 """Brute-force ground truth on a truncated three-mode Fock space.
 
-The squeeze unitary acts directly on the state: the generator is assembled
-from Kronecker products of single-mode ladder matrices (exactly antisymmetric
-in the truncated basis, so the propagator is exactly orthogonal there) and
-exp(K) psi is computed from the sparse K by the truncated-Taylor action of
-Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011), never forming exp(K).
-Every moment and single-mode quasiprobability is then recomputed by tensor
-contractions that share no algebra with the closed forms they validate.
+The squeeze unitary acts directly on the state.  Each pair term of the
+generator K changes the total photon number by 2, so exp(K) maps each
+photon-number-parity sector to itself; on every sector the state occupies, K
+is a gather table of six neighbours per basis state (exact ladder products,
+so K is exactly antisymmetric there) and exp(K) psi is a truncated Taylor
+series run in steps of bounded 1-norm, after Al-Mohy & Higham (SIAM J. Sci.
+Comput. 33, 2011), never forming exp(K).  Every moment and single-mode
+quasiprobability is then recomputed by tensor contractions that share no
+algebra with the closed forms they validate; the Wigner value is an exact
+displaced parity built from the Fock matrix of the displacement operator.
 
 ``oracle_report``, used by ``oracle-verify`` and the tests, compares engine
 values with the oracle's; the oracle side shares no algebra with the engine.
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,8 +43,14 @@ from .symplectic import SqueezeParams, bogoliubov_coeffs
 CUTOFF_MIN = 4
 CUTOFF_MAX = 15
 LEAKAGE_TOL = 1e-8
-WIGNER_PAD = 16  # zero rows/columns of headroom for the displacement operator
 MONOMIAL_DEGREE_MAX = 4  # per mode
+# Largest 1-norm of K/s per Taylor step: about the reach of the degree-55 Taylor
+# polynomial in double precision (theta_55 = 9.9 in Al-Mohy & Higham's table).
+TAYLOR_THETA = 10.0
+TAYLOR_TOL = 2.0 ** -53
+# At 1-norm <= TAYLOR_THETA, term j is at most 10**j / j! of the input, under
+# 1e-18 from j = 55 on, so later terms cannot change a double.
+TAYLOR_TERMS_MAX = 55
 
 
 @dataclass(frozen=True)
@@ -142,39 +151,116 @@ def truncation_report(state: TruncatedState) -> TruncationReport:
     )
 
 
+_PAIRS = ((0, 1), (0, 2), (1, 2))  # (a1 a2, a1 a3, a2 a3)
+
+
 @functools.cache
-def _pair_generators(size):
-    """(a1 a2 - h.c., a1 a3 - h.c., a2 a3 - h.c.) as sparse matrices, per-mode size ``size``.
+def _sector_tables(size, parity):
+    """Gather tables of the sector n1 + n2 + n3 = parity (mod 2), per-mode size ``size``.
 
-    Each pair product is a single Kronecker product of ladder matrices, so
-    every matrix is exactly antisymmetric (real entries) in the truncated
-    basis.  Callers only scale and add them, which makes new matrices.
+    Returns read-only ``(indices, neighbours, ladder)``: the sector's flat basis
+    indices, ascending, and two (6, n_sector) tables.  Slot p < 3 of basis state
+    n holds pair p's neighbour n + e_j + e_k with the ladder product
+    sqrt(n_j + 1) sqrt(n_k + 1); slot 3 + p holds n - e_j - e_k with
+    sqrt(n_j) sqrt(n_k).  Neighbours are sector-local indices; one outside the
+    cutoff is a zero slot (weight 0, the state's own index).  Slot-major rows
+    keep the gather and the slot sum contiguous.
     """
-    import scipy.sparse  # deferred like every scipy import here: only the oracle needs it
+    dim = size ** 3
+    occupations = np.indices((size, size, size)).reshape(3, -1)
+    indices = np.flatnonzero(occupations.sum(axis=0) % 2 == parity)
+    occ = occupations[:, indices]
+    rows = np.arange(indices.size)
+    local = np.zeros(dim, dtype=np.intp)
+    local[indices] = rows
+    root = np.sqrt(np.arange(size + 1))
+    strides = (size * size, size, 1)
+    neighbours = np.empty((6, indices.size), dtype=np.intp)
+    ladder = np.empty((6, indices.size))
+    for slot, (j, k) in enumerate(_PAIRS):
+        shift = strides[j] + strides[k]
+        up = (occ[j] < size - 1) & (occ[k] < size - 1)
+        neighbours[slot] = np.where(up, local[(indices + shift) % dim], rows)
+        ladder[slot] = np.where(up, root[occ[j] + 1] * root[occ[k] + 1], 0.0)
+        down = (occ[j] > 0) & (occ[k] > 0)
+        neighbours[3 + slot] = np.where(down, local[(indices - shift) % dim], rows)
+        ladder[3 + slot] = root[occ[j]] * root[occ[k]]
+    for table in (indices, neighbours, ladder):
+        table.flags.writeable = False
+    return indices, neighbours, ladder
 
-    lower = scipy.sparse.diags(np.sqrt(np.arange(1, size)), offsets=1, format="csr")
-    eye = scipy.sparse.identity(size, format="csr")
-    pairs = (
-        scipy.sparse.kron(scipy.sparse.kron(lower, lower), eye, format="csr"),
-        scipy.sparse.kron(scipy.sparse.kron(lower, eye), lower, format="csr"),
-        scipy.sparse.kron(eye, scipy.sparse.kron(lower, lower), format="csr"),
-    )
-    return tuple((pair - pair.T).tocsr() for pair in pairs)
+
+@dataclass(frozen=True)
+class SectorGenerator:
+    """K on one parity sector in gather form: (K v)_i = sum_s weights[s, i] v[neighbours[s, i]].
+
+    ``indices`` are the sector's flat basis indices; ``v`` is indexed like them.
+    """
+
+    indices: np.ndarray
+    neighbours: np.ndarray
+    weights: np.ndarray
+
+    def __matmul__(self, vec):
+        gathered = vec[self.neighbours]
+        gathered *= self.weights
+        return gathered.sum(axis=0)
+
+    def norm1(self):
+        """Exact 1-norm: K is antisymmetric, so its largest absolute row sum."""
+        return float(np.abs(self.weights).sum(axis=0).max())
 
 
 def build_generator(params: SqueezeParams, cutoff: FockCutoff):
-    """Sparse matrix of r1(a1 a2 - h.c.) + r2(a1 a3 - h.c.) + r3(a2 a3 - h.c.).
+    """r1(a1 a2 - h.c.) + r2(a1 a3 - h.c.) + r3(a2 a3 - h.c.) as (even, odd) SectorGenerators.
 
-    The three pair matrices have disjoint support, so each entry is one
-    coupling times one ladder product, exactly antisymmetric.
+    Each weight is one coupling times one ladder product, so K is exactly
+    antisymmetric and every entry equals the Kronecker-product assembly's.
     """
-    r1, r2, r3 = params.as_tuple()
-    a12, a13, a23 = _pair_generators(cutoff.size)
-    return r1 * a12 + r2 * a13 + r3 * a23
+    r = np.array(params.as_tuple(), dtype=float)
+    signed = np.concatenate([r, -r])[:, None]
+    return tuple(
+        SectorGenerator(indices, neighbours, ladder * signed)
+        for indices, neighbours, ladder in (_sector_tables(cutoff.size, p) for p in (0, 1))
+    )
+
+
+def _taylor_action(generator: SectorGenerator, vec):
+    """exp(K) vec on one sector, in s = ceil(||K||_1 / TAYLOR_THETA) Taylor steps.
+
+    Each step sums exp(K/s) until two consecutive terms fall below TAYLOR_TOL
+    of the running sum (max norms).  K is real, so a real vector runs in real
+    arithmetic, which gives the complex run's bits; a complex one meets
+    complex-cast weights, so each product is one complex multiply.
+    """
+    steps = max(1, math.ceil(generator.norm1() / TAYLOR_THETA))
+    if not vec.imag.any():
+        vec = vec.real
+    generator = replace(generator, weights=generator.weights.astype(vec.dtype, copy=False))
+    for _ in range(steps):
+        term, total = vec, vec.copy()
+        previous = bound = np.abs(term).max()
+        for j in range(1, TAYLOR_TERMS_MAX + 1):
+            term = generator @ term
+            term *= 1.0 / (j * steps)
+            total += term
+            current = np.abs(term).max()
+            bound += current  # >= max|total|: the sum is read only once the terms are small
+            tail = previous + current
+            if tail <= TAYLOR_TOL * bound and tail <= TAYLOR_TOL * np.abs(total).max():
+                break
+            previous = current
+        vec = total
+    return vec
 
 
 class SqueezePropagator:
-    """Sparse generator K for one parameter set; ``apply`` returns exp(K) psi."""
+    """exp(K) for one parameter set, applied to a state one parity sector at a time.
+
+    ``generator`` holds K's (even, odd) SectorGenerators; ``apply`` runs the
+    truncated Taylor action on each sector the state occupies and leaves the
+    others empty, as exp(K) does.
+    """
 
     def __init__(self, params: SqueezeParams, cutoff: FockCutoff):
         self.params = params
@@ -182,14 +268,15 @@ class SqueezePropagator:
         self.generator = build_generator(params, cutoff)
 
     def apply(self, state: TruncatedState) -> TruncatedState:
-        import scipy.sparse.linalg
-
         if state.cutoff != self.cutoff:
             raise ValueError("state and propagator cutoffs differ")
-        flat = scipy.sparse.linalg.expm_multiply(self.generator, state.amplitudes.reshape(-1))
-        return TruncatedState(
-            amplitudes=flat.reshape(state.amplitudes.shape), cutoff=self.cutoff
-        )
+        flat = state.amplitudes.reshape(-1)
+        out = np.zeros_like(flat)
+        for sector in self.generator:
+            vec = flat[sector.indices]
+            if vec.any():
+                out[sector.indices] = _taylor_action(sector, vec)
+        return TruncatedState(amplitudes=out.reshape(state.amplitudes.shape), cutoff=self.cutoff)
 
 
 def apply_squeeze(propagator: SqueezePropagator, state: TruncatedState) -> TruncatedState:
@@ -198,8 +285,9 @@ def apply_squeeze(propagator: SqueezePropagator, state: TruncatedState) -> Trunc
     report = truncation_report(evolved)
     if not report.ok():
         raise TruncationLeakageError(
-            f"truncation leakage above threshold: norm defect {report.norm_defect:.3e}, "
-            f"top-shell occupations {tuple(f'{t:.3e}' for t in report.top_shell)}", report)
+            f"truncation leakage at or above threshold: norm defect {report.norm_defect:.3e}, "
+            f"top-shell occupations ({', '.join(f'{t:.3e}' for t in report.top_shell)}), "
+            f"threshold {LEAKAGE_TOL:.0e}", report)
     return evolved
 
 
@@ -224,10 +312,13 @@ def oracle_expectation(state: TruncatedState, monomial) -> complex:
     if max(key) > MONOMIAL_DEGREE_MAX:
         raise ValueError(f"per-mode monomial degree is capped at {MONOMIAL_DEGREE_MAX}")
     bra = state.amplitudes
-    ket = state.amplitudes
     for axis in range(3):
         for _ in range(key[axis]):
             bra = _apply_ladder(bra, axis)
+    if key[:3] == key[3:]:
+        return complex(np.vdot(bra, bra))
+    ket = state.amplitudes
+    for axis in range(3):
         for _ in range(key[3 + axis]):
             ket = _apply_ladder(ket, axis)
     return complex(np.vdot(bra, ket))
@@ -267,11 +358,13 @@ def reduced_density(state: TruncatedState, mode: int) -> np.ndarray:
 def oracle_wigner(rho: np.ndarray, z: complex, s: int) -> float:
     """Quasidistribution of a single-mode density matrix.
 
-    s=0 uses the displaced-parity form (2/pi) Tr[rho D(z) P D(-z)]; s=-1 is
-    the Husimi value <z|rho|z>/pi.  The top Fock occupation must stay below
-    LEAKAGE_TOL for the truncated value to stand in for the exact one;
-    WIGNER_PAD zero rows/columns give the displacement operator headroom above
-    the state's support (without it, |z| ~ 1.4 points lose ~1e-4 of accuracy).
+    s=0 is the displaced parity (2/pi) Tr[rho D(z) P D(-z)] = (2/pi) Tr[rho D(2z) P]
+    = (2/pi) sum_mn rho_mn (-1)^m <n|D(2z)|m>; s=-1 is the Husimi value
+    <z|rho|z>/pi.  The Fock matrix of D(alpha) starts from the coherent column
+    D|0> = |alpha> and follows the exact recurrence
+    <n|D|m+1> = (sqrt(n) <n-1|D|m> - conj(alpha) <n|D|m>) / sqrt(m+1), so
+    truncation enters only through rho.  Its top Fock occupation must stay
+    below LEAKAGE_TOL for the truncated value to stand in for the exact one.
     """
     rho = np.asarray(rho)
     size = rho.shape[0]
@@ -288,16 +381,16 @@ def oracle_wigner(rho: np.ndarray, z: complex, s: int) -> float:
         return float(np.real(coh.conj() @ rho @ coh) / math.pi)
     if s != 0:
         raise ValueError("oracle quasidistributions support s in {-1, 0} only")
-    import scipy.linalg
-
-    padded_size = size + WIGNER_PAD
-    padded = np.zeros((padded_size, padded_size), dtype=complex)
-    padded[:size, :size] = rho
-    lower = np.diag(np.sqrt(np.arange(1, padded_size)), k=1)
-    displaced = scipy.linalg.expm(complex(z) * lower.T - np.conj(complex(z)) * lower)
-    parity = (-1.0) ** np.arange(padded_size)
-    transformed = displaced.conj().T @ padded @ displaced
-    return float((2.0 / math.pi) * np.real(np.sum(np.diag(transformed) * parity)))
+    alpha = 2.0 * complex(z)
+    root = np.sqrt(np.arange(size))
+    displaced = np.empty((size, size), dtype=complex)
+    displaced[:, 0] = _coherent_vector(alpha, size)
+    for m in range(size - 1):
+        column = -alpha.conjugate() * displaced[:, m]
+        column[1:] += root[1:] * displaced[:-1, m]
+        displaced[:, m + 1] = column / math.sqrt(m + 1)
+    parity = (-1.0) ** np.arange(size)
+    return float((2.0 / math.pi) * np.real(np.sum(parity[:, None] * rho * displaced.T)))
 
 
 def _moment_table(mean, intensity, cross):

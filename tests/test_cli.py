@@ -508,6 +508,20 @@ def test_removed_options_are_usage_errors(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_oracle_verify_loads_no_scipy(tmp_path):
+    # the oracle is numpy-only: a fresh interpreter runs oracle-verify without scipy
+    out = tmp_path / "verify.json"
+    script = (
+        "import sys\n"
+        "from trisqueeze.cli import main\n"
+        f"code = main(['oracle-verify', '--r', '0.1', '--state', 'n=0,0,1', '--out', {str(out)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+    assert json.loads(out.read_text())["max_rel_error"] < 1e-6
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "trisqueeze", "coeffs", "--r", "0"],

@@ -14,6 +14,7 @@ from trisqueeze.fock_oracle import (
     SqueezePropagator,
     TruncatedState,
     TruncationLeakageError,
+    _sector_tables,
     apply_squeeze,
     build_generator,
     oracle_expectation,
@@ -62,22 +63,6 @@ def test_cutoff_validation():
     assert FockCutoff(14).dim == 15 ** 3
 
 
-def test_generator_zero_params():
-    gen = build_generator(SqueezeParams(0, 0, 0), FockCutoff(4))
-    assert gen.nnz == 0
-
-
-def test_generator_pair_matrix_element():
-    # <0,0,0| K |1,1,0> = r1 <000| a1 a2 |110> = r1
-    cut = FockCutoff(4)
-    gen = build_generator(SqueezeParams(1.0, 0, 0), cut).toarray()
-    size = cut.size
-    bra = 0
-    ket = size ** 2 + size  # (1, 1, 0)
-    assert gen[bra, ket] == pytest.approx(1.0)
-    assert gen[ket, bra] == pytest.approx(-1.0)
-
-
 def reference_generator(params, cutoff):
     """The uncached assembly: six Kronecker products per call, antisymmetrised at the end."""
     import scipy.sparse
@@ -93,25 +78,85 @@ def reference_generator(params, cutoff):
     return (gen - gen.T).tocsr()
 
 
+def parity_rows(cutoff, parity):
+    """Flat basis indices whose total photon number has the given parity."""
+    occupations = np.indices((cutoff.size,) * 3).reshape(3, -1)
+    return np.flatnonzero(occupations.sum(axis=0) % 2 == parity)
+
+
+def basis_columns(sector):
+    """K e_m for every basis vector e_m of one sector, through the production gather."""
+    for m in range(sector.indices.size):
+        basis = np.zeros(sector.indices.size)
+        basis[m] = 1.0
+        yield sector @ basis
+
+
+def generator_columns(params, cutoff):
+    """(production, reference) K e_m for every basis vector e_m, sector by sector.
+
+    Yields each sector's columns as 1-d arrays over the sector's rows, and
+    checks that the reference generator has no entry linking the two sectors,
+    so a column is zero outside its own sector.
+    """
+    want = reference_generator(params, cutoff)
+    in_sectors = 0
+    for parity, sector in enumerate(build_generator(params, cutoff)):
+        rows = parity_rows(cutoff, parity)
+        assert np.array_equal(sector.indices, rows)
+        block = want[rows][:, rows].tocsc()
+        in_sectors += block.nnz
+        for m, got in enumerate(basis_columns(sector)):
+            column = np.zeros(rows.size)
+            lo, hi = block.indptr[m], block.indptr[m + 1]
+            column[block.indices[lo:hi]] = block.data[lo:hi]
+            yield got, column
+    assert in_sectors == want.nnz
+
+
+def test_generator_zero_params():
+    cut = FockCutoff(4)
+    for got, want in generator_columns(SqueezeParams(0, 0, 0), cut):
+        assert not got.any() and not want.any()
+
+
+def test_generator_pair_matrix_element():
+    # <0,0,0| K |1,1,0> = r1 <000| a1 a2 |110> = r1, and <1,1,0| K |0,0,0> = -r1
+    cut = FockCutoff(4)
+    even, _ = build_generator(SqueezeParams(1.0, 0, 0), cut)
+    vacuum, pair = (int(np.searchsorted(even.indices, i)) for i in (0, cut.size ** 2 + cut.size))
+    basis = np.zeros(even.indices.size)
+    basis[pair] = 1.0
+    assert (even @ basis)[vacuum] == 1.0
+    basis[:] = 0.0
+    basis[vacuum] = 1.0
+    assert (even @ basis)[pair] == -1.0
+
+
 @pytest.mark.parametrize("n_max", range(4, 16))
 def test_cached_generator_equals_uncached_assembly(n_max):
+    # K applied to every basis vector equals the Kronecker assembly's column bit for
+    # bit: each output entry is one coupling times one ladder product
     cut = FockCutoff(n_max)
     for triple in ((0.3, -0.2, 0.1), (-0.17, 0.0, 0.25), (0.0, 0.0, -1.3), (2.5, -9.5, 1e-300)):
-        params = SqueezeParams(*triple)
-        want = reference_generator(params, cut)
-        got = build_generator(params, cut)
-        assert got.shape == want.shape and got.dtype == want.dtype and got.nnz == want.nnz
-        assert (got != want).nnz == 0
-        # a caller writing into the returned matrix leaves the next result unchanged
-        got.data[:] = 7.0
-        got.indices[:] = 0
-        got.indptr[:] = 0
-        assert (build_generator(params, cut) != want).nnz == 0
+        for got, want in generator_columns(SqueezeParams(*triple), cut):
+            assert np.array_equal(got, want)
+    # the cached sector tables are read-only; weights are fresh per generator
+    for parity in (0, 1):
+        for table in _sector_tables(cut.size, parity):
+            with pytest.raises(ValueError):
+                table[0] = 0
+    for sector in build_generator(SqueezeParams(0.3, -0.2, 0.1), cut):
+        sector.weights[:] = 7.0
+    for got, want in generator_columns(SqueezeParams(0.3, -0.2, 0.1), cut):
+        assert np.array_equal(got, want)
 
 
 def test_generator_exactly_antisymmetric():
-    gen = build_generator(SqueezeParams(0.6, 0.8, 0.9), FockCutoff(10))
-    assert abs(gen + gen.T).max() < 1e-14
+    cut = FockCutoff(10)
+    for sector in build_generator(SqueezeParams(0.6, 0.8, 0.9), cut):
+        dense = np.column_stack(list(basis_columns(sector)))
+        assert dense.any() and np.array_equal(dense, -dense.T)
 
 
 def test_vacuum_fixed_point_at_zero_coupling():
@@ -140,23 +185,58 @@ GRID_STATES = (
 )
 
 
-@functools.lru_cache(maxsize=1)  # consecutive calls share (triple, cutoff)
-def _dense_propagator(triple, n_max):
-    return scipy.linalg.expm(build_generator(SqueezeParams(*triple), FockCutoff(n_max)).toarray())
+@functools.lru_cache(maxsize=2)  # consecutive calls share (triple, cutoff)
+def _dense_propagator(triple, n_max, parity):
+    """Dense exp of the reference generator's block on one photon-number parity.
+
+    The reference has no entry between the two parities (checked in
+    ``generator_columns``), so exp(K) is the direct sum of the two block
+    exponentials; a cutoff-15 block costs a quarter of the full matrix's memory.
+    """
+    cut = FockCutoff(n_max)
+    rows = parity_rows(cut, parity)
+    block = reference_generator(SqueezeParams(*triple), cut)[rows][:, rows]
+    return rows, scipy.linalg.expm(block.toarray())
 
 
 def _assert_action_matches_dense(triple, n_max, state):
     cut = FockCutoff(n_max)
-    psi = TruncatedState.from_input_state(state, cut)
-    action = SqueezePropagator(SqueezeParams(*triple), cut).apply(psi).amplitudes
-    dense = _dense_propagator(triple, n_max) @ psi.amplitudes.reshape(-1)
-    assert np.max(np.abs(action.reshape(-1) - dense)) <= ACTION_TOL
+    psi = TruncatedState.from_input_state(state, cut).amplitudes.reshape(-1)
+    action = SqueezePropagator(SqueezeParams(*triple), cut).apply(
+        TruncatedState.from_input_state(state, cut)).amplitudes.reshape(-1)
+    dense = np.zeros_like(psi)
+    for parity in (0, 1):
+        if psi[parity_rows(cut, parity)].any():
+            rows, block = _dense_propagator(triple, n_max, parity)
+            dense[rows] = block @ psi[rows]
+    assert np.max(np.abs(action - dense)) <= ACTION_TOL
 
 
 @pytest.mark.parametrize(
     "n_max, triple, state", list(itertools.product(GRID_CUTOFFS, GRID_COUPLINGS, GRID_STATES))
 )
 def test_state_action_matches_dense_expm_grid(n_max, triple, state):
+    _assert_action_matches_dense(triple, n_max, state)
+
+
+# Large 1-norms, where one unscaled Taylor step would be wrong (5e-7 at (1.5, 1.5, 1.5)
+# and 4e-2 at (2, -1, 0.5)): the action runs ceil(||K||_1 / 10) steps.  Then the
+# oracle workload's cutoff-12 range, |r_j| in [0.05, 0.18] with either sign.
+LARGE_NORM_CASES = [
+    ((1.5, 1.5, 1.5), 6, InputState.vacuum()),
+    ((2.0, -1.0, 0.5), 10, InputState.number(1, 0, 2)),
+    ((2.0, -1.0, 0.5), 10, InputState.coherent(0.5, 0.5j, -0.3)),
+    ((-2.0, 1.7, 0.9), 12, InputState.number(0, 1, 0)),
+    ((2.0, 2.0, -2.0), 15, InputState.number(1, 1, 1)),
+    ((0.18, -0.18, 0.18), 12, InputState.number(1, 1, 1)),
+    ((0.18, -0.18, 0.18), 12, InputState.coherent(0.35 + 0.35j, -0.5, 0.1j)),
+    ((-0.05, 0.12, -0.18), 12, InputState.number(0, 0, 1)),
+    ((-0.05, 0.12, -0.18), 12, InputState.coherent(-0.1, 0.2 - 0.3j, 0.45j)),
+]
+
+
+@pytest.mark.parametrize("triple, n_max, state", LARGE_NORM_CASES)
+def test_state_action_matches_dense_expm_large_norm(triple, n_max, state):
     _assert_action_matches_dense(triple, n_max, state)
 
 
@@ -187,6 +267,18 @@ def test_zero_coupling_returns_input_exactly(state):
     assert np.array_equal(out.amplitudes, psi.amplitudes)
 
 
+def test_real_input_runs_with_the_complex_bits():
+    # a real vector takes real arithmetic; i times it takes the complex path, whose
+    # imaginary part must repeat the real run exactly
+    cut = FockCutoff(10)
+    prop = SqueezePropagator(SqueezeParams(2.0, -1.0, 0.5), cut)
+    psi = TruncatedState.from_input_state(InputState.number(1, 0, 2), cut)
+    rotated = TruncatedState(amplitudes=1j * psi.amplitudes, cutoff=cut)
+    real_run = prop.apply(psi).amplitudes
+    assert not real_run.imag.any()
+    assert np.array_equal(prop.apply(rotated).amplitudes.imag, real_run.real)
+
+
 def test_report_zero_for_fresh_vacuum():
     state = TruncatedState.from_input_state(InputState.vacuum(), FockCutoff(5))
     report = truncation_report(state)
@@ -198,7 +290,12 @@ def test_oracle_refuses_hot_small_basis():
     state = TruncatedState.from_input_state(InputState.vacuum(), FockCutoff(6))
     with pytest.raises(TruncationLeakageError) as excinfo:
         apply_squeeze(SqueezePropagator(SqueezeParams.symmetric(1.5), FockCutoff(6)), state)
-    assert excinfo.value.report.max_metric > 1e-8
+    report = excinfo.value.report
+    assert report.max_metric > 1e-8
+    assert str(excinfo.value) == (
+        f"truncation leakage at or above threshold: norm defect {report.norm_defect:.3e}, "
+        f"top-shell occupations ({report.top_shell[0]:.3e}, {report.top_shell[1]:.3e}, "
+        f"{report.top_shell[2]:.3e}), threshold 1e-08")
 
 
 def test_mild_squeeze_within_budget():
@@ -363,6 +460,40 @@ def test_closed_wigner_against_oracle(prop_sym_quarter):
         assert oracle_wigner(rho1, z, -1) == pytest.approx(
             float(wigner_excited(coeffs, 1, "mode3", z, -1)), abs=1e-7
         )
+
+
+def test_oracle_wigner_matches_closed_form_on_grid():
+    # the exact displaced parity against the closed form, on a 7x7 grid reaching
+    # |Re z|, |Im z| = 1.5 (|2z| up to 4.2), where a truncated displacement loses digits
+    cut = FockCutoff(14)
+    params = SqueezeParams.symmetric(0.2)
+    state = TruncatedState.from_input_state(InputState.number(0, 0, 1), cut)
+    rho1 = reduced_density(apply_squeeze(SqueezePropagator(params, cut), state), 1)
+    coeffs = bogoliubov_coeffs(params)
+    axis = np.linspace(-1.5, 1.5, 7)
+    for x, y in itertools.product(axis, axis):
+        z = complex(x, y)
+        want = float(wigner_excited(coeffs, 1, "mode3", z, 0))
+        assert abs(oracle_wigner(rho1, z, 0) - want) <= 1e-12
+
+
+def test_symmetric_monomial_equals_two_sided_contraction():
+    # a p = q monomial lowers the state once and contracts it with itself; the
+    # value equals the separate bra and ket contraction bit for bit
+    from trisqueeze.fock_oracle import _apply_ladder
+
+    cut = FockCutoff(8)
+    state = TruncatedState.from_input_state(InputState.coherent(0.6 - 0.2j, 0.3j, -0.4), cut)
+    evolved = SqueezePropagator(SqueezeParams(0.15, -0.1, 0.12), cut).apply(state)
+    for powers in itertools.product(range(3), repeat=3):
+        bra = ket = evolved.amplitudes
+        for axis, power in enumerate(powers):
+            for _ in range(power):
+                bra = _apply_ladder(bra, axis)
+        for axis, power in enumerate(powers):
+            for _ in range(power):
+                ket = _apply_ladder(ket, axis)
+        assert oracle_expectation(evolved, powers + powers) == complex(np.vdot(bra, ket))
 
 
 def test_char_fn_against_oracle_displacement(prop_sym_quarter):
