@@ -8,8 +8,9 @@ Every moment is then one contraction with a tensor of the input state:
     <n_j n_k> = m4[V_j, U_j, V_k, U_k],   <dX^2> = m2[x, x] - m1[x]^2,
 
 with m1[i] = <A_i>, m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l>
-built once per state by the exact normal-ordering engine (``ladder``), so one
-code path serves number states, coherent states and any couplings.
+built per state by the exact normal-ordering engine (``ladder``), each order
+on demand when a contraction first needs it, so a squeezing value never builds
+m4.  One code path serves number states, coherent states and any couplings.
 
 Every function takes a ``BogoliubovCoeffs`` of one coupling triple or of a
 stack of P triples; with a stack, the rows U_j, V_j are (P, 6) stacks and
@@ -78,31 +79,35 @@ def _real(value, what):
 
 
 @functools.lru_cache(maxsize=1)
-def _state_tensors(state: InputState):
-    """{1: m1, 2: m2, 4: m4}, read-only, for one input state.
+def _sub_words(state: InputState):
+    """Memo {sub-word: expectation} of one input state, shared by its tensor orders."""
+    return {}
+
+
+@functools.lru_cache(maxsize=3)
+def _state_tensor(state: InputState, order: int):
+    """m_order of one input state (order 1, 2 or 4), read-only, built on first request.
 
     The state is a product state, so each entry is the product over modes of
-    the expectation of that mode's sub-word; the at most 30 distinct sub-words
-    of each mode are normally ordered once.
+    the expectation of that mode's sub-word.  The orders share one memo, so
+    each of the at most 30 distinct sub-words of a mode is normally ordered
+    once per state, and an entry does not depend on which order came first.
     """
-    sub_words = {}
+    memo = _sub_words(state)
 
     def moment(word):
         value = 1.0
         for mode in range(3):
             key = tuple(i for i in word if i % 3 == mode)
-            if key not in sub_words:
-                sub_words[key] = expectation(normal_order(*(_SYMBOLS[i] for i in key)), state)
-            value *= sub_words[key]
+            if key not in memo:
+                memo[key] = expectation(normal_order(*(_SYMBOLS[i] for i in key)), state)
+            value *= memo[key]
         return value
 
-    tensors = {}
-    for order in (1, 2, 4):
-        words = itertools.product(range(6), repeat=order)
-        tensor = np.array([moment(w) for w in words], dtype=complex).reshape((6,) * order)
-        tensor.setflags(write=False)
-        tensors[order] = tensor
-    return tensors
+    words = itertools.product(range(6), repeat=order)
+    tensor = np.array([moment(w) for w in words], dtype=complex).reshape((6,) * order)
+    tensor.setflags(write=False)
+    return tensor
 
 
 def _pairs(a, b):
@@ -116,7 +121,7 @@ def _contract(state, *rows):
     Order 4 is taken as (w_1 (x) w_2) . m4[36x36] . (w_3 (x) w_4), so the
     transients stay (..., 36).
     """
-    tensor = _state_tensors(state)[len(rows)]
+    tensor = _state_tensor(state, len(rows))
     if len(rows) == 1:
         return rows[0] @ tensor
     if len(rows) == 2:

@@ -94,6 +94,9 @@ def char_fn(coeffs: BogoliubovCoeffs, ns, zeta, s: int):
     s = _check_ordering(s)
     n1, n2, n3 = _occupations(ns)
     zeta = np.asarray(zeta, dtype=complex)
+    # a scalar takes the array path too: numpy's scalar complex arithmetic can miss the stacked row by an ulp
+    point = zeta.ndim == 0
+    zeta = np.atleast_1d(zeta)
     f1, f2, g1, g2, h1, h2 = _against(zeta, *coeffs.mode_row(1))
     out, total = 1.0, 0.0
     for (c1_, c2_), n in (((f1, f2), n1), ((g1, g2), n2), ((h1, h2), n3)):
@@ -103,6 +106,8 @@ def char_fn(coeffs: BogoliubovCoeffs, ns, zeta, s: int):
         if n:
             out = out * laguerre(n, 0.0, mag2)
     out = out * np.exp(-0.5 * total + 0.5 * s * (zeta * np.conj(zeta)).real)
+    if point:
+        out = out[..., 0]
     return out if out.ndim else float(out)
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze import moments
+from trisqueeze.fock_oracle import FockCutoff, SqueezePropagator, oracle_report
 from trisqueeze.ladder import InputState
 from trisqueeze.moments import (
     QuadratureSelector,
@@ -391,3 +393,49 @@ def test_table_rows_match_one_row_calls():
         for column, value in zip(stacked, single):
             assert column.shape == (3,) and np.ndim(value) == 0
             assert abs(column[p] - value) <= 1e-13 * (1.0 + abs(value))
+
+
+@pytest.fixture
+def sub_word_lengths(monkeypatch):
+    """Length of each sub-word ``moments`` normal-orders while the test runs."""
+    lengths = []
+    original = moments.normal_order
+
+    def counted(*symbols):
+        lengths.append(len(symbols))
+        return original(*symbols)
+
+    monkeypatch.setattr(moments, "normal_order", counted)
+    return lengths
+
+
+# distinct sub-words per state: the empty word and, per mode, the 2 + 4 words of
+# length 1-2 that m1 and m2 need and the 8 + 16 of length 3-4 that only m4 needs
+ORDER2_SUB_WORDS = 1 + 3 * 6
+ORDER4_SUB_WORDS = 1 + 3 * 30
+
+
+def test_squeezing_on_fresh_state_builds_no_fourth_order_word(sub_word_lengths):
+    # amplitudes no other test uses, so no tensor of this state is cached yet
+    state = InputState.coherent(0.31 - 0.17j, 0.23j, -0.41)
+    coeffs = bogoliubov_coeffs(SqueezeParams(0.2, -0.1, 0.3))
+    squeezing(coeffs, QuadratureSelector(1, 1), state)
+    assert len(sub_word_lengths) == ORDER2_SUB_WORDS and max(sub_word_lengths) == 2
+    g2(coeffs, state, 1)
+    assert len(sub_word_lengths) == ORDER4_SUB_WORDS  # m4 reuses the 19 sub-words m2 ordered
+
+
+@pytest.mark.parametrize("state", [InputState.number(1, 0, 2), InputState.coherent(0.5 + 0.2j, -0.3, 0.1j)])
+def test_state_tensors_bitwise_equal_in_any_build_order(state):
+    built = []
+    for orders in itertools.permutations((1, 2, 4)):
+        moments._sub_words.cache_clear()
+        moments._state_tensor.cache_clear()
+        built.append({order: moments._state_tensor(state, order).tobytes() for order in orders})
+    assert all(tensors == built[0] for tensors in built)
+
+
+def test_oracle_report_normal_orders_each_sub_word_once(sub_word_lengths):
+    state = InputState.coherent(0.27 + 0.11j, -0.19, 0.14j)
+    oracle_report(SqueezePropagator(SqueezeParams(0.1, 0.05, -0.08), FockCutoff(12)), state)
+    assert len(sub_word_lengths) == ORDER4_SUB_WORDS
