@@ -94,7 +94,7 @@ def char_fn(coeffs: BogoliubovCoeffs, ns, zeta, s: int):
     s = _check_ordering(s)
     n1, n2, n3 = _occupations(ns)
     zeta = np.asarray(zeta, dtype=complex)
-    # a scalar takes the array path too: numpy's scalar complex arithmetic can miss the stacked row by an ulp
+    # a scalar takes the array path too: numpy scalar arithmetic can miss the stacked row by an ulp
     point = zeta.ndim == 0
     zeta = np.atleast_1d(zeta)
     f1, f2, g1, g2, h1, h2 = _against(zeta, *coeffs.mode_row(1))

@@ -425,7 +425,9 @@ def test_squeezing_on_fresh_state_builds_no_fourth_order_word(sub_word_lengths):
     assert len(sub_word_lengths) == ORDER4_SUB_WORDS  # m4 reuses the 19 sub-words m2 ordered
 
 
-@pytest.mark.parametrize("state", [InputState.number(1, 0, 2), InputState.coherent(0.5 + 0.2j, -0.3, 0.1j)])
+@pytest.mark.parametrize(
+    "state", [InputState.number(1, 0, 2), InputState.coherent(0.5 + 0.2j, -0.3, 0.1j)]
+)
 def test_state_tensors_bitwise_equal_in_any_build_order(state):
     built = []
     for orders in itertools.permutations((1, 2, 4)):

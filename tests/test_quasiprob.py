@@ -119,14 +119,14 @@ def test_char_fn_stack_rows_equal_one_triple_calls(rng, ns, s):
     zeta = rng.normal(size=4) + 1j * rng.normal(size=4)  # len(zeta) == P on purpose
     stacked = char_fn(bogoliubov_table(triples), ns, zeta, s)
     assert stacked.shape == (4, 4)
-    at_origin = char_fn(bogoliubov_table(triples), ns, 0.3 - 0.2j, s)
-    assert at_origin.shape == (4,)
+    at_point = char_fn(bogoliubov_table(triples), ns, 0.3 - 0.2j, s)
+    assert at_point.shape == (4,)
     for p, triple in enumerate(triples):
         coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
         assert np.array_equal(stacked[p], char_fn(coeffs, ns, zeta, s))
         point = char_fn(coeffs, ns, 0.3 - 0.2j, s)
         assert isinstance(point, float)
-        assert point == at_origin[p]
+        assert point == at_point[p]
 
 
 def test_wigner_aux_theta_matches_quadrature_variances():
