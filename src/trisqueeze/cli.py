@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,10 +48,19 @@ from .symplectic import (
 )
 
 OUTDIR_ENV = "TRISQUEEZE_OUTDIR"
+# Largest number of rows of a sweep and of points of a grid; the figure set
+# needs at most 401 rows and 161 x 161 = 25,921 grid points.
+POINTS_MAX = 100_000
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_points(count, what):
+    """Refuse a sweep or grid of more than POINTS_MAX values before it is allocated."""
+    if count > POINTS_MAX:
+        raise UsageError(f"{what}: {count} points exceed the bound POINTS_MAX = {POINTS_MAX}")
 
 
 def _parse_axis(spec, what):
@@ -71,6 +81,7 @@ def _parse_axis(spec, what):
         raise UsageError(f"{what}: sweep must be start:stop:count, got {spec!r}")
     if count < 2:
         raise UsageError(f"{what}: sweep count must be >= 2, got {count}")
+    _check_points(count, what)
     with np.errstate(over="ignore", invalid="ignore"):  # wigner-grid refuses non-finite axes
         return [float(v) for v in np.linspace(start, stop, count)]
 
@@ -91,6 +102,7 @@ def _parse_params(args):
         _parse_axis(args.r2, "--r2"),
         _parse_axis(args.r3, "--r3"),
     ]
+    _check_points(math.prod(map(len, axes)), "--r1/--r2/--r3")
     return list(itertools.product(*axes))
 
 
@@ -251,6 +263,7 @@ def cmd_wigner_grid(args):
     ys = np.asarray(_parse_axis(args.y, "--y"))
     if xs.size < 2 or ys.size < 2:
         raise UsageError("--x and --y must be sweeps (start:stop:count)")
+    _check_points(xs.size * ys.size, "--x/--y")
     for flag, spec, axis in (("--x", args.x, xs), ("--y", args.y, ys)):
         if not np.isfinite(axis).all():
             raise UsageError(f"{flag}: sweep values must be finite, got {spec!r}")

@@ -13,6 +13,8 @@ displaced parity built from the Fock matrix of the displacement operator.
 
 ``oracle_report``, used by ``oracle-verify`` and the tests, compares engine
 values with the oracle's; the oracle side shares no algebra with the engine.
+It applies each mode's a and a+ to the evolved state once and reads every
+moment and quadrature variance from that one set of ladder images.
 
 Truncation is guarded, not hidden: each evolved state carries a leakage
 report (norm defect and per-mode top-shell occupation) and the oracle refuses
@@ -293,15 +295,30 @@ def apply_squeeze(propagator: SqueezePropagator, state: TruncatedState) -> Trunc
 
 def _apply_ladder(amps, axis, raising=False):
     """a (or a+ when ``raising``) on one axis; a+ drops what leaves the top shell."""
-    moved = np.moveaxis(amps, axis, 0)
-    out = np.zeros_like(moved)
-    size = moved.shape[0]
-    weights = np.sqrt(np.arange(1, size)).reshape((-1,) + (1,) * (moved.ndim - 1))
+    out = np.zeros_like(amps)
+    size = amps.shape[axis]
+    shape = [1] * amps.ndim
+    shape[axis] = size - 1
+    weights = np.sqrt(np.arange(1, size)).reshape(shape)
+    head = (slice(None),) * axis
+    low, high = head + (slice(None, -1),), head + (slice(1, None),)
     if raising:
-        out[1:] = weights * moved[:-1]
+        out[high] = weights * amps[low]
     else:
-        out[:-1] = weights * moved[1:]
-    return np.moveaxis(out, 0, axis)
+        out[low] = weights * amps[high]
+    return out
+
+
+def _ladder_images(amps):
+    """(lowered, raised): a_j psi and a_j+ psi for the three modes, j = 1, 2, 3."""
+    lowered = [_apply_ladder(amps, axis) for axis in range(3)]
+    raised = [_apply_ladder(amps, axis, raising=True) for axis in range(3)]
+    return lowered, raised
+
+
+def _norm2(vec):
+    """<v|v> as a float."""
+    return float(np.vdot(vec, vec).real)
 
 
 def oracle_expectation(state: TruncatedState, monomial) -> complex:
@@ -324,6 +341,22 @@ def oracle_expectation(state: TruncatedState, monomial) -> complex:
     return complex(np.vdot(bra, ket))
 
 
+def _quadrature_stats(amps, lowered, raised, weights):
+    """(<X>, <dX^2>, <Y>, <dY^2>) with per-mode ``weights``, from the state's ladder images."""
+    xvec = np.zeros_like(amps)
+    yvec = np.zeros_like(amps)
+    for low, high, weight in zip(lowered, raised, weights):
+        if weight == 0.0:
+            continue
+        xvec += 0.5 * weight * (low + high)
+        yvec += -0.5j * weight * (low - high)
+    out = []
+    for vec in (xvec, yvec):
+        mean = float(np.vdot(amps, vec).real)
+        out.extend((mean, _norm2(vec) - mean * mean))
+    return tuple(out)
+
+
 def quadrature_stats(state: TruncatedState, c1: int, c2: int):
     """(<X>, <dX^2>, <Y>, <dY^2>) for the weighted quadratures (1, c1, c2).
 
@@ -331,21 +364,7 @@ def quadrature_stats(state: TruncatedState, c1: int, c2: int):
     algebra involved.
     """
     amps = state.amplitudes
-    xvec = np.zeros_like(amps)
-    yvec = np.zeros_like(amps)
-    for axis, weight in enumerate((1.0, float(c1), float(c2))):
-        if weight == 0.0:
-            continue
-        lowered = _apply_ladder(amps, axis)
-        raised = _apply_ladder(amps, axis, raising=True)
-        xvec += 0.5 * weight * (lowered + raised)
-        yvec += -0.5j * weight * (lowered - raised)
-    out = []
-    for vec in (xvec, yvec):
-        mean = float(np.vdot(amps, vec).real)
-        square = float(np.vdot(vec, vec).real)
-        out.extend((mean, square - mean * mean))
-    return tuple(out)
+    return _quadrature_stats(amps, *_ladder_images(amps), (1.0, float(c1), float(c2)))
 
 
 def reduced_density(state: TruncatedState, mode: int) -> np.ndarray:
@@ -418,6 +437,11 @@ def oracle_report(propagator: SqueezePropagator, state: InputState) -> dict:
     ``quantities``: the 15 moments and ratios of ``_moment_table``, six quadrature
     variances and, for a closed-form number state, three mode-1 W/Q points, each
     with |analytic - oracle| / max(|oracle|, 1e-12).  Raises TruncationLeakageError.
+
+    The oracle side lowers and raises the evolved state once per mode.  The nine
+    moments are squared norms of those images (a_k a_j psi by one more lowering)
+    and the three selectors' variances are sums of the same images, so they equal
+    ``oracle_expectation`` and ``quadrature_stats`` bit for bit.
     """
     params = propagator.params
     coeffs = bogoliubov_coeffs(params)
@@ -431,25 +455,24 @@ def oracle_report(propagator: SqueezePropagator, state: InputState) -> dict:
         quantities.append({"name": name, "analytic": analytic, "oracle": oracle,
                            "rel_error": abs(analytic - oracle) / max(abs(oracle), 1e-12)})
 
-    def oracle_moment(*modes):
-        """<a_j+ a_k+ ... a_j a_k ...> of the evolved state, one power per listed mode."""
-        mono = [0] * 6
-        for mode in modes:
-            mono[mode - 1] += 1
-            mono[mode + 2] += 1
-        return oracle_expectation(evolved, mono).real
-
+    amps = evolved.amplitudes
+    lowered, raised = _ladder_images(amps)
     analytic = _moment_table(
         functools.partial(mean_photon, coeffs, state),
         functools.partial(intensity_correlation, coeffs, state),
         functools.partial(cross_correlation, coeffs, state),
     )
-    oracle = _moment_table(oracle_moment, lambda m: oracle_moment(m, m), oracle_moment)
+    oracle = _moment_table(
+        lambda m: _norm2(lowered[m - 1]),
+        lambda m: _norm2(_apply_ladder(lowered[m - 1], m - 1)),
+        lambda j, k: _norm2(_apply_ladder(lowered[j - 1], k - 1)),
+    )
     for name, value in analytic.items():
         record(name, value, oracle[name])
     for c1, c2 in ((0, 0), (1, 0), (1, 1)):
-        var_x, var_y = quadrature_variances(coeffs, QuadratureSelector(c1, c2), state)
-        _, ovar_x, _, ovar_y = quadrature_stats(evolved, c1, c2)
+        sel = QuadratureSelector(c1, c2)
+        var_x, var_y = quadrature_variances(coeffs, sel, state)
+        _, ovar_x, _, ovar_y = _quadrature_stats(amps, lowered, raised, sel.weights)
         record(f"var_x_c{c1}{c2}", var_x, ovar_x)
         record(f"var_y_c{c1}{c2}", var_y, ovar_y)
     if state.is_number_state:

@@ -10,7 +10,9 @@ Every moment is then one contraction with a tensor of the input state:
 with m1[i] = <A_i>, m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l>
 built per state by the exact normal-ordering engine (``ladder``), each order
 on demand when a contraction first needs it, so a squeezing value never builds
-m4.  One code path serves number states, coherent states and any couplings.
+m4, and a number mode skips its unbalanced sub-words (unequal creator and
+annihilator counts, whose expectation is exactly zero).  One code path serves
+number states, coherent states, mixed products of both and any couplings.
 
 Every function takes a ``BogoliubovCoeffs`` of one coupling triple or of a
 stack of P triples; with a stack, the rows U_j, V_j are (P, 6) stacks and
@@ -25,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import InputState, LadderPolynomial, _mode_index, expectation, normal_order
+from .ladder import (
+    InputState,
+    LadderPolynomial,
+    NumberState,
+    _mode_index,
+    expectation,
+    normal_order,
+)
 from .symplectic import BogoliubovCoeffs
 
 MEAN_PHOTON_FLOOR = 1e-12
@@ -92,6 +101,8 @@ def _state_tensor(state: InputState, order: int):
     the expectation of that mode's sub-word.  The orders share one memo, so
     each of the at most 30 distinct sub-words of a mode is normally ordered
     once per state, and an entry does not depend on which order came first.
+    A number mode's sub-word with unequal creator and annihilator counts is
+    exactly 0j, since <n|a+^p a^q|n> = 0 for p != q, and is not normally ordered.
     """
     memo = _sub_words(state)
 
@@ -100,7 +111,11 @@ def _state_tensor(state: InputState, order: int):
         for mode in range(3):
             key = tuple(i for i in word if i % 3 == mode)
             if key not in memo:
-                memo[key] = expectation(normal_order(*(_SYMBOLS[i] for i in key)), state)
+                balanced = 2 * sum(i < 3 for i in key) == len(key)
+                if balanced or not isinstance(state.modes[mode], NumberState):
+                    memo[key] = expectation(normal_order(*(_SYMBOLS[i] for i in key)), state)
+                else:
+                    memo[key] = 0j
             value *= memo[key]
         return value
 

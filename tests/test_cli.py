@@ -129,6 +129,26 @@ def test_coeffs_rejects_sweep():
     assert run_cli(["coeffs", "--r", "0:1:5"]) == 2
 
 
+_ONE_OVER = cli.POINTS_MAX + 1  # 100,001 = 11 x 9,091
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["squeeze-sweep", "--r", f"0:1:{_ONE_OVER}", "--c1", "1", "--c2", "1",
+      "--state", "n=0,0,0"], "--r"),
+    (["cs-sweep", "--r1", "0:0.1:11", "--r2", "0:0.1:9091", "--r3", "0.1",
+      "--state", "n=1,1,1", "--j", "1", "--k", "2"], "--r1/--r2/--r3"),
+    (["wigner-grid", "--r", "0.3", "--state", "n=0,0,1", "--x=-4:4:11", "--y=-4:4:9091"],
+     "--x/--y"),
+])
+def test_oversized_sweeps_and_grids_are_usage_errors(tmp_path, capsys, argv, what):
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: {what}: {_ONE_OVER} points exceed the bound POINTS_MAX = {cli.POINTS_MAX}\n"
+    )
+    assert not out.exists()
+
+
 def test_wigner_grid_files_and_sidecar(tmp_path):
     out = tmp_path / "grid.csv"
     code = run_cli([

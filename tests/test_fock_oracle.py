@@ -18,12 +18,13 @@ from trisqueeze.fock_oracle import (
     apply_squeeze,
     build_generator,
     oracle_expectation,
+    oracle_report,
     oracle_wigner,
     quadrature_stats,
     reduced_density,
     truncation_report,
 )
-from trisqueeze.ladder import InputState
+from trisqueeze.ladder import CoherentState, InputState, NumberState
 from trisqueeze.moments import (
     QuadratureSelector,
     cross_correlation,
@@ -364,6 +365,36 @@ def test_engine_quadratures_against_oracle(evolved_fock111):
         assert abs(mean_xo) < 1e-10 and abs(mean_yo) < 1e-10
         assert var_x == pytest.approx(var_xo, rel=1e-6)
         assert var_y == pytest.approx(var_yo, rel=1e-6)
+
+
+@pytest.mark.parametrize("state", [
+    InputState.number(1, 0, 2),
+    InputState.coherent(0.4 - 0.2j, 0.3j, -0.25),
+    InputState((NumberState(1), CoherentState(0.3 + 0.1j), NumberState(0))),
+])
+def test_report_oracle_side_equals_public_functions(state):
+    # the report reads one set of ladder images; the public functions rebuild them
+    propagator = SqueezePropagator(SqueezeParams(0.15, -0.1, 0.12), CUT12)
+    report = oracle_report(propagator, state)
+    assert report["max_rel_error"] < 1e-6
+    oracle = {q["name"]: q["oracle"] for q in report["quantities"]}
+    evolved = apply_squeeze(propagator, TruncatedState.from_input_state(state, CUT12))
+
+    def expect(*modes):
+        mono = [0] * 6
+        for mode in modes:
+            mono[mode - 1] += 1
+            mono[mode + 2] += 1
+        return oracle_expectation(evolved, mono).real
+
+    for mode in (1, 2, 3):
+        assert oracle[f"mean_n{mode}"] == expect(mode)
+        assert oracle[f"intensity_{mode}"] == expect(mode, mode)
+    for j, k in ((1, 2), (1, 3), (2, 3)):
+        assert oracle[f"cross_n{j}n{k}"] == expect(j, k)
+    for c1, c2 in ((0, 0), (1, 0), (1, 1)):
+        _, var_x, _, var_y = quadrature_stats(evolved, c1, c2)
+        assert (oracle[f"var_x_c{c1}{c2}"], oracle[f"var_y_c{c1}{c2}"]) == (var_x, var_y)
 
 
 def test_bogoliubov_table_against_oracle_matrix_elements():

@@ -5,8 +5,8 @@ g2, V_jk and S_x/S_y are near-cancelling differences of order-one ratios
 (g2 = I/n^2 - 1 and V = sqrt(I_j I_k)/<n_j n_k> - 1 can sit at zero while
 their terms do not), so a purely relative bound does not fit them; they are
 held to the envelope |engine - reference| <= 1e-12 * (1 + |reference|).
-Covered: Fock inputs with n <= 3, coherent inputs with |alpha| <= 2 and
-couplings with |r| <= 2.
+Covered: Fock inputs with n <= 3, coherent inputs with |alpha| <= 2, products
+mixing both kinds of mode, and couplings with |r| <= 2.
 """
 
 import itertools
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trisqueeze.ladder import InputState
+from trisqueeze.ladder import CoherentState, InputState, NumberState
 from trisqueeze.moments import (
     QuadratureSelector,
     UndefinedMomentError,
@@ -54,6 +54,8 @@ GRID_STATES = (
     InputState.coherent(2, 0, 0),
     InputState.coherent(1 + 1j, -0.5j, 0.3),
     InputState.coherent(-1.4 + 1.4j, 2j, -2),
+    InputState((NumberState(1), CoherentState(0.3 + 0.1j), NumberState(0))),
+    InputState((CoherentState(-1.2 + 0.5j), NumberState(3), CoherentState(2j))),
 )
 
 

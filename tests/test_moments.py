@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from trisqueeze import moments
 from trisqueeze.fock_oracle import FockCutoff, SqueezePropagator, oracle_report
-from trisqueeze.ladder import InputState
+from trisqueeze.ladder import CoherentState, InputState, NumberState, expectation, normal_order
 from trisqueeze.moments import (
     QuadratureSelector,
     UndefinedMomentError,
@@ -441,3 +441,31 @@ def test_oracle_report_normal_orders_each_sub_word_once(sub_word_lengths):
     state = InputState.coherent(0.27 + 0.11j, -0.19, 0.14j)
     oracle_report(SqueezePropagator(SqueezeParams(0.1, 0.05, -0.08), FockCutoff(12)), state)
     assert len(sub_word_lengths) == ORDER4_SUB_WORDS
+
+
+def _every_sub_word_tensor(state, order):
+    """m_order with every sub-word normally ordered, unbalanced number-mode ones included."""
+
+    def moment(word):
+        value = 1.0
+        for mode in range(3):
+            key = [i for i in word if i % 3 == mode]
+            value *= expectation(normal_order(*(moments._SYMBOLS[i] for i in key)), state)
+        return value
+
+    words = itertools.product(range(6), repeat=order)
+    return np.array([moment(w) for w in words], dtype=complex).reshape((6,) * order)
+
+
+# per number mode only the 2 + 6 balanced words of length 2 and 4 are ordered
+@pytest.mark.parametrize("state, sub_words", [
+    (InputState.number(1, 1, 1), 1 + 3 * 8),
+    (InputState((NumberState(1), CoherentState(0.3 + 0.1j), NumberState(0))), 1 + 2 * 8 + 30),
+])
+def test_number_modes_skip_unbalanced_sub_words(sub_word_lengths, state, sub_words):
+    moments._sub_words.cache_clear()
+    moments._state_tensor.cache_clear()
+    built = {order: moments._state_tensor(state, order) for order in (1, 2, 4)}
+    assert len(sub_word_lengths) == sub_words
+    for order, tensor in built.items():
+        assert tensor.tobytes() == _every_sub_word_tensor(state, order).tobytes()
