@@ -17,7 +17,6 @@ from .moments import (
 )
 from .quasiprob import (
     PFunctionSingularError,
-    QuasiprobGrid,
     WignerAux,
     char_fn,
     fock_limit_wigner,
@@ -27,7 +26,6 @@ from .quasiprob import (
     wigner_excited,
     wigner_numeric,
     wigner_origin,
-    wigner_series,
     wigner_vacuum,
 )
 from .symplectic import (
@@ -47,7 +45,6 @@ __all__ = [
     "NumberState",
     "PFunctionSingularError",
     "QuadratureSelector",
-    "QuasiprobGrid",
     "SqueezeParams",
     "UndefinedMomentError",
     "WignerAux",
@@ -68,7 +65,6 @@ __all__ = [
     "wigner_excited",
     "wigner_numeric",
     "wigner_origin",
-    "wigner_series",
     "wigner_vacuum",
 ]
 

@@ -33,13 +33,7 @@ import numpy as np
 from .fock_oracle import FockCutoff, SqueezePropagator, TruncationLeakageError, oracle_report
 from .ladder import InputState
 from .moments import QuadratureSelector, cauchy_schwarz, g2, squeezing
-from .quasiprob import (
-    closed_form_slot,
-    wigner_aux,
-    wigner_closed,
-    wigner_numeric,
-    wigner_series,
-)
+from .quasiprob import closed_form_slot, wigner_aux, wigner_closed, wigner_numeric
 from .symplectic import (
     SqueezeParams,
     bogoliubov_coeffs,
@@ -236,7 +230,7 @@ def cmd_origin_sweep(args):
     def origin_values(table):
         values = wigner_closed(table, ns, 0j, args.s)
         if values is None:
-            values = wigner_series(table, ns, [0.0], [0.0], args.s)[:, 0, 0]
+            values = wigner_numeric(table, ns, [0.0], [0.0], args.s)[:, 0, 0]
         return [values]
 
     _emit(args, _sweep_csv(args, "r1,r2,r3,w00", _R_CELLS + "%.17g\n", origin_values))
@@ -274,7 +268,7 @@ def cmd_wigner_grid(args):
         if method == "closed":
             values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], args.s)
         else:
-            values = wigner_numeric(coeffs, ns, xs, ys, args.s).values
+            values = wigner_numeric(coeffs, ns, xs, ys, args.s)
     if not np.isfinite(values).all():
         raise ArithmeticError("finite-value guard: the grid holds non-finite values; narrow --x/--y")
 

@@ -14,6 +14,7 @@ values against product number/coherent states close the moment engine.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 MAX_PRODUCT_DEGREE = 8  # fourth moments need degree 4; 8 leaves sweep headroom
@@ -165,8 +166,13 @@ class NumberState:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
+        try:
+            n = operator.index(self.n)
+        except TypeError:
+            n = -1
+        if n < 0:
             raise ValueError(f"photon number must be a nonnegative integer, got {self.n!r}")
+        object.__setattr__(self, "n", n)
 
 
 @dataclass(frozen=True)

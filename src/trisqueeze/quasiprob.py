@@ -9,12 +9,11 @@ v1 = zeta*f1 - conj(zeta)*f2 (and g, h analogues).  Writing zeta = u + i*v,
 with tp/tm the s-shifted quadrature widths and A+- = (coef sums)^2.  The
 Fourier transform W(z, s) is evaluated two ways, both exact: a closed Laguerre
 sum for vacuum or a single excited slot (mode 1 or mode 3), and a Hermite
-series for every pattern with n_j <= NUMERIC_N_MAX (``wigner_series``, gridded
-by ``wigner_numeric``).  Both reduce to the familiar number-state distribution
-when all couplings vanish, and both take a BogoliubovCoeffs stack of P
-coupling triples and return a stack with a leading P axis.  Against a
-60-digit mpmath evaluation the series holds 1e-12 of max|W| for n_j <= 6 and
-|r_j| <= 2.
+series for every pattern with n_j <= NUMERIC_N_MAX (``wigner_numeric``).  Both
+reduce to the familiar number-state distribution when all couplings vanish,
+and both take a BogoliubovCoeffs stack of P coupling triples and return a
+stack with a leading P axis.  Against a 60-digit mpmath evaluation the series
+holds 1e-12 of max|W| for n_j <= 6 and |r_j| <= 2.
 
 Closed-form stability note: the Laguerre sum is computed through the
 homogenized polynomials t_k(eta, c) = eta^k L_k^{-1/2}(c/eta), which stay
@@ -30,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ladder import NumberState
 from .symplectic import BogoliubovCoeffs
 
 LAGUERRE_K_MAX = 60
@@ -280,27 +280,10 @@ def wigner_closed(coeffs: BogoliubovCoeffs, ns, z, s: int):
 
 
 def _occupations(ns):
-    out = tuple(int(n) for n in ns)
-    if len(out) != 3 or min(out) < 0:
+    out = tuple(NumberState(n).n for n in ns)  # NumberState's integer rule, as Python ints
+    if len(out) != 3:
         raise ValueError(f"occupations must be three nonnegative integers, got {ns!r}")
     return out
-
-
-@dataclass(frozen=True)
-class QuasiprobGrid:
-    """Sampled quasidistribution: values[i, j] = W(xs[i] + 1j*ys[j], s)."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-    s: int
-    values: np.ndarray
-
-    def riemann_sum(self):
-        """Sum of the values times the cell area; one sum per row of a stacked grid."""
-        dx = self.xs[1] - self.xs[0]
-        dy = self.ys[1] - self.ys[0]
-        total = self.values.sum(axis=(-2, -1)) * dx * dy
-        return total if total.ndim else float(total)
 
 
 def _hermite(m_max, t):
@@ -331,7 +314,7 @@ def _fourier_factors(axis, theta, degree):
     return _hermite(2 * degree, om)[..., 0::2] * (np.exp(-om * om / 2.0)[..., None] * signs)
 
 
-def wigner_series(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
+def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
     """W(xs[i] + 1j*ys[j], s) of a number-state input by the exact Hermite series.
 
     With zeta = u + iv, t = sqrt(2 tm) u and t' = sqrt(2 tp) v, the characteristic
@@ -344,13 +327,18 @@ def wigner_series(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
         W(x + iy) = sum_kl M[k, l] (-1)^(k+l) phi_2k(y sqrt(2/tm)) phi_2l(x sqrt(2/tp))
                     / (pi sqrt(tp tm)).
 
-    The phi_m are bounded and orthonormal, so the sum does not cancel.
+    The phi_m are bounded and orthonormal, so the sum does not cancel.  xs and
+    ys are non-empty 1-d axes; one point each gives a single phase-space value.
     Returns (nx, ny) values, or (P, nx, ny) for a stack of P triples.
     """
     s = _check_ordering(s, allowed=(-1, 0))
     ns = _occupations(ns)
     if max(ns) > NUMERIC_N_MAX:
         raise ValueError(f"occupations above {NUMERIC_N_MAX} are not supported numerically")
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
+        raise ValueError("xs and ys must be non-empty 1-d arrays")
     aux = wigner_aux(coeffs, s)
     theta_plus = np.reshape(aux.theta_plus, (-1, 1, 1))
     theta_minus = np.reshape(aux.theta_minus, (-1, 1, 1))
@@ -362,22 +350,8 @@ def wigner_series(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
                                + (c + d) ** 2 / theta_plus * w)
     core = projector.T @ char @ projector
 
-    gx = _fourier_factors(np.asarray(xs, dtype=float), theta_plus[:, 0], degree)
-    gy = _fourier_factors(np.asarray(ys, dtype=float), theta_minus[:, 0], degree)
+    gx = _fourier_factors(xs, theta_plus[:, 0], degree)
+    gy = _fourier_factors(ys, theta_minus[:, 0], degree)
     scale = 1.0 / (math.pi * np.sqrt(theta_plus * theta_minus))
     values = scale * (gx @ core.transpose(0, 2, 1) @ gy.transpose(0, 2, 1))
     return values if np.ndim(coeffs.c) == 3 else values[0]
-
-
-def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int) -> QuasiprobGrid:
-    """Grid of the exact Hermite series (``wigner_series``); a (P, nx, ny) stack for P triples.
-
-    The name predates the series, which replaced an adaptive quadrature, and is
-    kept because the benchmark tracer in ``perfbench/spans.py`` patches it.
-    """
-    s = _check_ordering(s, allowed=(-1, 0))
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or ys.ndim != 1 or xs.size < 2 or ys.size < 2:
-        raise ValueError("xs and ys must be 1-d arrays with at least two points")
-    return QuasiprobGrid(xs=xs, ys=ys, s=s, values=wigner_series(coeffs, ns, xs, ys, s))

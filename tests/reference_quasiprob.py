@@ -7,7 +7,7 @@ the mode-1 characteristic function ``trisqueeze.quasiprob.char_fn``:
   the characteristic function that the exact series replaced.  The node count
   doubles until two refinements agree below 1e-8 everywhere on the grid, so
   it is a 1e-8 reference.
-- ``wigner_mpmath``: the same series as ``wigner_series`` evaluated exactly in
+- ``wigner_mpmath``: the same series as ``wigner_numeric`` evaluated exactly in
   mpmath (60 digits by default).  The Laguerre product is expanded as a
   bivariate polynomial in (w, w') = (tm u^2, tp v^2) and its monomials are
   moved to the L_k^{-1/2} basis by the exact inversion formula, so the
@@ -15,7 +15,8 @@ the mode-1 characteristic function ``trisqueeze.quasiprob.char_fn``:
   projection with the fast path.
 
 ``suggest_half_width`` picks a phase-space window that holds essentially all
-of a distribution; only tests use it.
+of a distribution, and ``riemann_sum`` integrates a sampled grid over it; only
+tests use them.
 """
 
 import functools
@@ -111,6 +112,12 @@ def suggest_half_width(coeffs, ns, s):
     spread = math.sqrt(max(aux.theta_plus, aux.theta_minus))
     ntot = sum(_occupations(ns))
     return spread * (4.0 + 1.5 * math.sqrt(ntot)) + 1.0
+
+
+def riemann_sum(xs, ys, values):
+    """Sum of values[..., i, j] = W(xs[i] + 1j*ys[j]) times the cell area; one sum per row of a stack."""
+    total = np.sum(values, axis=(-2, -1)) * (xs[1] - xs[0]) * (ys[1] - ys[0])
+    return total if total.ndim else float(total)
 
 
 def _monomial_to_half_laguerre(degree):

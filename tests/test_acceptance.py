@@ -42,7 +42,7 @@ from trisqueeze.symplectic import (
 )
 
 from reference_moments import subpoisson_certificate, symmetric_coeffs_closed
-from reference_quasiprob import suggest_half_width
+from reference_quasiprob import riemann_sum, suggest_half_width
 
 VACUUM = InputState.vacuum()
 
@@ -333,7 +333,7 @@ def test_c11_quasiprobability_consistency():
         coeffs = bogoliubov_coeffs(params)
         grid = wigner_numeric(coeffs, ns, xs, xs, 0)
         closed = wigner_closed(coeffs, ns, xs[:, None] + 1j * xs[None, :], 0)
-        worst_grid = max(worst_grid, float(np.max(np.abs(grid.values - closed))))
+        worst_grid = max(worst_grid, float(np.max(np.abs(grid - closed))))
 
     rng = np.random.default_rng(20240805)
     worst_laguerre = 0.0
@@ -377,7 +377,7 @@ def test_c12_q_positivity_and_normalization():
             xs = np.linspace(-hw, hw, 181)
             grid = wigner_numeric(coeffs, ns, xs, xs, s)
             if s == -1:
-                q_floor = min(q_floor, float(grid.values.min()))
-            worst_norm = max(worst_norm, abs(grid.riemann_sum() - 1.0))
+                q_floor = min(q_floor, float(grid.min()))
+            worst_norm = max(worst_norm, abs(riemann_sum(xs, xs, grid) - 1.0))
     ok = q_floor >= -1e-10 and worst_norm < 1e-4
     report(12, ok, f"Q floor {q_floor:.2e} (>=-1e-10), normalization dev {worst_norm:.2e} (<1e-4)")

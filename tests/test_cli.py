@@ -268,7 +268,7 @@ def test_wigner_grid_csv_matches_per_cell_reference(tmp_path, state, method):
     if method == "closed":
         values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], -1)
     else:
-        values = wigner_numeric(coeffs, ns, xs, ys, -1).values
+        values = wigner_numeric(coeffs, ns, xs, ys, -1)
     assert out.read_text() == reference_grid_csv(xs, ys, values)
     assert json.loads((tmp_path / "grid.aux.json").read_text())["method"] == method
 

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze.moments import QuadratureSelector, quadrature_variances
-from trisqueeze.ladder import InputState
+from trisqueeze.ladder import InputState, NumberState
 from trisqueeze.quasiprob import (
     PFunctionSingularError,
     char_fn,
+    closed_form_slot,
     fock_limit_wigner,
     laguerre,
     wigner_aux,
@@ -27,7 +28,7 @@ from trisqueeze.symplectic import (
     bogoliubov_table,
 )
 
-from reference_quasiprob import suggest_half_width, wigner_mpmath
+from reference_quasiprob import riemann_sum, suggest_half_width, wigner_mpmath
 
 IDENTITY = BogoliubovCoeffs.identity()
 
@@ -306,7 +307,7 @@ def test_numeric_matches_closed_forms(params, ns):
     ys = np.linspace(-2.5, 2.5, 29)
     grid = wigner_numeric(coeffs, ns, xs, ys, 0)
     closed = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], 0)
-    assert np.max(np.abs(grid.values - closed)) < 1e-6
+    assert np.max(np.abs(grid - closed)) < 1e-6
 
 
 def test_numeric_handles_general_occupation():
@@ -315,14 +316,14 @@ def test_numeric_handles_general_occupation():
     hw = suggest_half_width(coeffs, (1, 1, 0), 0)
     xs = np.linspace(-hw, hw, 121)
     grid = wigner_numeric(coeffs, (1, 1, 0), xs, xs, 0)
-    assert grid.riemann_sum() == pytest.approx(1.0, abs=1e-4)
+    assert riemann_sum(xs, xs, grid) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_numeric_q_function_positive():
     coeffs = bogoliubov_coeffs(SqueezeParams(0.5, 0.7, 0.9))
     xs = np.linspace(-5.0, 5.0, 41)
     grid = wigner_numeric(coeffs, (0, 0, 1), xs, xs, -1)
-    assert grid.values.min() >= -1e-10
+    assert grid.min() >= -1e-10
 
 
 def test_numeric_guards():
@@ -332,13 +333,56 @@ def test_numeric_guards():
         wigner_numeric(coeffs, (0, 0, 1), xs, xs, 1)
     with pytest.raises(ValueError):
         wigner_numeric(coeffs, (0, 0, 7), xs, xs, 0)
-    with pytest.raises(ValueError):
-        wigner_numeric(coeffs, (0, 0, 1), np.array([0.0]), xs, 0)
+    for axis in (np.array([]), np.array([[0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            wigner_numeric(coeffs, (0, 0, 1), axis, xs, 0)
+        with pytest.raises(ValueError):
+            wigner_numeric(coeffs, (0, 0, 1), xs, axis, 0)
     # the 257-point axis cap bounded only the quadrature's phase matrices
     long_axis = np.linspace(-2, 2, 300)
     grid = wigner_numeric(coeffs, (0, 0, 1), long_axis, xs, 0)
     reference = wigner_mpmath(coeffs, (0, 0, 1), long_axis, xs, 0)
-    assert np.max(np.abs(grid.values - reference)) < 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(grid - reference)) < 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("ns", [(0, 0, 1), (1, 1, 1), (2, 0, 1)])
+@pytest.mark.parametrize("s", [0, -1])
+def test_numeric_one_point_axes_equal_grid_cells(ns, s):
+    # one axis rule: any non-empty axis, so origin-sweep's single point is a grid cell
+    table = bogoliubov_table(np.random.default_rng(11).uniform(-1.5, 1.5, (7, 3)))
+    xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 7)
+    for coeffs in (BogoliubovCoeffs(table.c[0], table.d[0]), table):
+        grid = wigner_numeric(coeffs, ns, xs, ys, s)
+        scale = np.max(np.abs(grid))
+        for i, j in ((0, 0), (4, 3), (8, 6), (2, 5)):
+            cell = wigner_numeric(coeffs, ns, xs[i:i + 1], ys[j:j + 1], s)
+            assert cell.shape == grid.shape[:-2] + (1, 1)
+            assert np.max(np.abs(cell[..., 0, 0] - grid[..., i, j])) <= 1e-15 * scale
+
+
+def test_occupations_must_be_integers():
+    coeffs = bogoliubov_coeffs(SqueezeParams(0.2, 0.3, 0.1))
+    xs = np.linspace(-2.0, 2.0, 5)
+    calls = [
+        lambda ns: wigner_closed(coeffs, ns, 0.3 + 0.1j, 0),
+        lambda ns: wigner_numeric(coeffs, ns, xs, xs, 0),
+        lambda ns: char_fn(coeffs, ns, 0.3 + 0.1j, 0),
+        closed_form_slot,
+    ]
+    for call in calls:
+        for ns in ((0.5, 0, 0), (1.9, 0, 1), (2.7, 0, 0), (0, 0, 0.99), (1.0, 0, 0)):
+            with pytest.raises(ValueError, match=repr(next(n for n in ns if isinstance(n, float)))):
+                call(ns)
+    for ns in ((0, 0, 0), (1, 0, 0), (0, 0, 2), (1, 0, 1), (2, 1, 0)):
+        numpy_ns = tuple(np.int64(n) for n in ns)
+        for call in calls[:3]:
+            plain, wrapped = call(ns), call(numpy_ns)
+            assert (plain is None and wrapped is None) or np.array_equal(plain, wrapped)
+        assert calls[3](numpy_ns) == calls[3](ns)
+    assert NumberState(np.int64(1)) == NumberState(1)
+    assert type(NumberState(np.uint8(2)).n) is int
+    with pytest.raises(ValueError, match="1.0"):
+        NumberState(1.0)
 
 
 def test_suggested_window_normalizes_excited_case():
@@ -346,7 +390,7 @@ def test_suggested_window_normalizes_excited_case():
     hw = suggest_half_width(coeffs, (0, 0, 1), 0)
     xs = np.linspace(-hw, hw, 161)
     grid = wigner_numeric(coeffs, (0, 0, 1), xs, xs, 0)
-    assert grid.riemann_sum() == pytest.approx(1.0, abs=1e-4)
+    assert riemann_sum(xs, xs, grid) == pytest.approx(1.0, abs=1e-4)
 
 
 def _axis_peak_count(section, floor=1e-4):

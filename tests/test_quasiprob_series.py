@@ -2,7 +2,7 @@
 
 Envelope asserted here, on grids that cover the distribution: for every
 accepted input with n_j <= 6 and |r_j| <= 2, at s = 0 and s = -1,
-``wigner_series`` is within 1e-12 of max|W| of the same transform evaluated
+``wigner_numeric`` is within 1e-12 of max|W| of the same transform evaluated
 in 60-digit mpmath (``reference_quasiprob.wigner_mpmath``); the measured
 worst case is about 6e-15.  The series also agrees with the
 test-side adaptive quadrature within 1e-8, that quadrature's own tolerance,
@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze import quasiprob
-from trisqueeze.quasiprob import wigner_closed, wigner_numeric, wigner_series
+from trisqueeze.quasiprob import wigner_closed, wigner_numeric
 from trisqueeze.symplectic import BogoliubovCoeffs, SqueezeParams, bogoliubov_coeffs, bogoliubov_table
 
-from reference_quasiprob import suggest_half_width, wigner_mpmath, wigner_quadrature
+from reference_quasiprob import riemann_sum, suggest_half_width, wigner_mpmath, wigner_quadrature
 
 FIXED_PATTERNS = [(1, 1, 1), (0, 2, 0), (2, 0, 1), (6, 6, 6), (6, 0, 6), (0, 6, 0)]
 FIXED_COUPLINGS = [(0.3, 0.2, 0.4), (1.0, -0.7, 0.5), (2.0, 2.0, 2.0)]
@@ -41,14 +41,14 @@ def test_fixed_patterns_match_mpmath(ns, s):
     for r in FIXED_COUPLINGS:
         coeffs = bogoliubov_coeffs(SqueezeParams(*r))
         xs, ys = _window(coeffs, ns, s)
-        error = _relative_error(wigner_series(coeffs, ns, xs, ys, s), wigner_mpmath(coeffs, ns, xs, ys, s))
+        error = _relative_error(wigner_numeric(coeffs, ns, xs, ys, s), wigner_mpmath(coeffs, ns, xs, ys, s))
         assert error < 1e-12, (r, error)
 
 
 def _check_against_mpmath(ns, r, s):
     coeffs = bogoliubov_coeffs(SqueezeParams(*r))
     xs, ys = _window(coeffs, ns, s, count=7)
-    error = _relative_error(wigner_series(coeffs, ns, xs, ys, s), wigner_mpmath(coeffs, ns, xs, ys, s))
+    error = _relative_error(wigner_numeric(coeffs, ns, xs, ys, s), wigner_mpmath(coeffs, ns, xs, ys, s))
     assert error < 1e-12, error
 
 
@@ -78,7 +78,7 @@ def test_every_accepted_input_matches_mpmath(ns, r, s):
 def test_series_matches_quadrature_reference(ns, s):
     coeffs = bogoliubov_coeffs(SqueezeParams(0.45, 0.2, 0.35))
     xs, ys = _window(coeffs, ns, s, count=21)
-    values = wigner_numeric(coeffs, ns, xs, ys, s).values
+    values = wigner_numeric(coeffs, ns, xs, ys, s)
     assert np.max(np.abs(values - wigner_quadrature(coeffs, ns, xs, ys, s))) < 1e-8
 
 
@@ -92,7 +92,7 @@ def test_series_matches_closed_forms_up_to_n10(monkeypatch, s):
             for ns in ((n, 0, 0), (0, 0, n)):
                 xs, ys = _window(coeffs, ns, s, count=21)
                 closed = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], s)
-                error = _relative_error(wigner_series(coeffs, ns, xs, ys, s), closed)
+                error = _relative_error(wigner_numeric(coeffs, ns, xs, ys, s), closed)
                 assert error < 1e-12, (r, ns, error)
 
 
@@ -103,11 +103,11 @@ def test_table_rows_equal_one_row_calls(rng, ns):
     xs, ys = np.linspace(-3.0, 3.0, 11), np.linspace(-2.0, 2.5, 6)
     for s in (0, -1):
         grid = wigner_numeric(table, ns, xs, ys, s)
-        one_row = np.array([wigner_numeric(row, ns, xs, ys, s).values for row in rows])
-        assert grid.values.shape == (7, 11, 6)
-        assert np.max(np.abs(grid.values - one_row)) <= 1e-15 * np.max(np.abs(one_row))
-        assert np.allclose(grid.riemann_sum(), [wigner_numeric(row, ns, xs, ys, s).riemann_sum()
-                                                for row in rows], rtol=1e-15, atol=0)
+        one_row = np.array([wigner_numeric(row, ns, xs, ys, s) for row in rows])
+        assert grid.shape == (7, 11, 6)
+        assert np.max(np.abs(grid - one_row)) <= 1e-15 * np.max(np.abs(one_row))
+        assert np.allclose(riemann_sum(xs, ys, grid), [riemann_sum(xs, ys, values) for values in one_row],
+                           rtol=1e-15, atol=0)
         z = xs[:, None] + 1j * ys[None, :]
         closed = wigner_closed(table, ns, z, s)
         if closed is not None:

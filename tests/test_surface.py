@@ -38,7 +38,6 @@ def test_public_api_inventory():
         "NumberState",
         "PFunctionSingularError",
         "QuadratureSelector",
-        "QuasiprobGrid",
         "SqueezeParams",
         "UndefinedMomentError",
         "WignerAux",
@@ -59,7 +58,6 @@ def test_public_api_inventory():
         "wigner_excited",
         "wigner_numeric",
         "wigner_origin",
-        "wigner_series",
         "wigner_vacuum",
     ]
     assert all(hasattr(trisqueeze, name) for name in trisqueeze.__all__)
