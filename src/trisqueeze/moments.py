@@ -39,10 +39,6 @@ from .symplectic import BogoliubovCoeffs
 
 MEAN_PHOTON_FLOOR = 1e-12
 _HERMITIAN_IMAG_TOL = 1e-9
-# 2**256 on one row of each pair: with |c| <= 8.1e7 at R_MAX, an order-4 sum
-# stays below 1e190 times the largest m4 entry, far from overflow.
-_SCALE = 2.0 ** 256
-_UNSCALE = 2.0 ** -256
 
 _SYMBOLS = [LadderPolynomial.annihilator(m) for m in (1, 2, 3)]
 _SYMBOLS += [LadderPolynomial.creator(m) for m in (1, 2, 3)]
@@ -139,24 +135,16 @@ def _contract(state, *rows):
 
     Order 4 is taken as (w_1 (x) w_2) . m4[36x36] . (w_3 (x) w_4), so the
     transients stay (..., 36).
-
-    w_1 (and w_3 at order 4) enter times _SCALE and the sum is scaled back
-    once.  A power of two is exact, so a result in the normal range is bit for
-    bit the unscaled one, while products of tiny couplings that would fall
-    below the smallest normal float keep full precision and a subnormal
-    result is rounded only once.
     """
     tensor = _state_tensor(state, len(rows))
     if len(rows) == 1:
-        return ((_SCALE * rows[0]) @ tensor) * _UNSCALE
+        return rows[0] @ tensor
     if len(rows) == 2:
-        left, right = _SCALE * rows[0], rows[1]
-        unscale = _UNSCALE
+        left, right = rows
     else:
-        left, right = _pairs(_SCALE * rows[0], rows[1]), _pairs(_SCALE * rows[2], rows[3])
+        left, right = _pairs(rows[0], rows[1]), _pairs(rows[2], rows[3])
         tensor = tensor.reshape(36, 36)
-        unscale = _UNSCALE * _UNSCALE
-    return ((left @ tensor) * right).sum(axis=-1) * unscale
+    return ((left @ tensor) * right).sum(axis=-1)
 
 
 def _rows(coeffs: BogoliubovCoeffs, mode):

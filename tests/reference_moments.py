@@ -23,8 +23,6 @@ from trisqueeze.moments import (
 )
 from trisqueeze.symplectic import BogoliubovCoeffs, _validated_strength
 
-_FACTOR_SCALE = 2.0 ** 128
-
 
 def _real(value):
     value = complex(value)
@@ -81,34 +79,23 @@ def _mode_polys(coeffs, mode):
     return amode, amode.dagger()
 
 
-def _normal_moment(state, *factors):
-    """Real <factor_1 ... factor_n>, each factor times 2**128 and the value scaled back once.
-
-    The product is linear in each factor and a power of two is exact, so only
-    coefficient products that would fall below the smallest normal float
-    change: they keep full precision, and a subnormal moment is rounded once.
-    """
-    scaled = [_FACTOR_SCALE * factor for factor in factors]
-    return _real(expectation(normal_order(*scaled), state) / _FACTOR_SCALE ** len(factors))
-
-
 def ref_mean_photon(coeffs, state, mode):
     """<a+ a> of one output mode."""
     amode, adag = _mode_polys(coeffs, mode)
-    return _normal_moment(state, adag, amode)
+    return _real(expectation(normal_order(adag, amode), state))
 
 
 def ref_intensity_correlation(coeffs, state, mode):
     """<a+^2 a^2> of one output mode."""
     amode, adag = _mode_polys(coeffs, mode)
-    return _normal_moment(state, adag, adag, amode, amode)
+    return _real(expectation(normal_order(adag, adag, amode, amode), state))
 
 
 def ref_cross_correlation(coeffs, state, j, k):
     """<n_j n_k> between two distinct output modes."""
     aj, ajd = _mode_polys(coeffs, j)
     ak, akd = _mode_polys(coeffs, k)
-    return _normal_moment(state, ajd, aj, akd, ak)
+    return _real(expectation(normal_order(ajd, aj, akd, ak), state))
 
 
 def ref_g2(coeffs, state, mode):
