@@ -2,17 +2,17 @@
 
 Writing A = (a1, a2, a3, a1+, a2+, a3+), output mode j is S+ a_j S = U_j.A
 with U_j = [c_j | d_j], and its adjoint is V_j.A with V_j = [d_j | c_j].
-Every moment is then one contraction with a tensor of the input state:
+Every photon-number moment is then one contraction with a tensor of the input
+state:
 
     <n_j> = m2[V_j, U_j],   <a_j+2 a_j2> = m4[V_j, V_j, U_j, U_j],
-    <n_j n_k> = m4[V_j, U_j, V_k, U_k],   <dX^2> = m2[x, x] - m1[x]^2,
+    <n_j n_k> = m4[V_j, U_j, V_k, U_k],
 
-with m1[i] = <A_i>, m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l>
-built per state by the exact normal-ordering engine (``ladder``), each order
-on demand when a contraction first needs it, so a squeezing value never builds
-m4, and a number mode skips its unbalanced sub-words (unequal creator and
-annihilator counts, whose expectation is exactly zero).  One code path serves
-number states, coherent states, mixed products of both and any couplings.
+with m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l> built per state
+by the exact normal-ordering engine (``ladder``), each order on demand; a
+number mode skips its unbalanced sub-words, whose expectation is exactly zero.
+Squeezing reads no tensor: <dX^2> = sum_k sigma_k (exp(-R) w)_k^2 over the
+input quadrature variances sigma_k, and <dY^2> likewise with exp(+R).
 
 Every function takes a ``BogoliubovCoeffs`` of one coupling triple or of a
 stack of P triples; with a stack, the rows U_j, V_j are (P, 6) stacks and
@@ -93,9 +93,9 @@ def _sub_words(state: InputState):
     return {}
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=2)
 def _state_tensor(state: InputState, order: int):
-    """m_order of one input state (order 1, 2 or 4), read-only, built on first request.
+    """m_order of one input state (order 2 or 4), read-only, built on first request.
 
     The state is a product state, so each entry is the product over modes of
     the expectation of that mode's sub-word.  The orders share one memo, so
@@ -131,19 +131,16 @@ def _pairs(a, b):
 
 
 def _contract(state, *rows):
-    """<(w_1.A) ... (w_n.A)> of the state for n = 1, 2 or 4 row stacks w, each (..., 6).
+    """<(w_1.A) ... (w_n.A)> of the state for n = 2 or 4 row stacks w, each (..., 6).
 
     Order 4 is taken as (w_1 (x) w_2) . m4[36x36] . (w_3 (x) w_4), so the
     transients stay (..., 36).
     """
     tensor = _state_tensor(state, len(rows))
-    if len(rows) == 1:
-        return rows[0] @ tensor
-    if len(rows) == 2:
-        left, right = rows
-    else:
-        left, right = _pairs(rows[0], rows[1]), _pairs(rows[2], rows[3])
+    if len(rows) == 4:
+        rows = _pairs(rows[0], rows[1]), _pairs(rows[2], rows[3])
         tensor = tensor.reshape(36, 36)
+    left, right = rows
     return ((left @ tensor) * right).sum(axis=-1)
 
 
@@ -155,18 +152,15 @@ def _rows(coeffs: BogoliubovCoeffs, mode):
 
 
 def quadrature_variances(coeffs, sel, state):
-    """(<dX^2>, <dY^2>) of the squeezed output state."""
-    xrow = yrow = 0.0
-    for mode, weight in zip((1, 2, 3), sel.weights):
-        u, v = _rows(coeffs, mode)
-        xrow = xrow + (0.5 * weight) * (u + v)
-        yrow = yrow + (-0.5j * weight) * (u - v)
-    out = []
-    for row, name in ((xrow, "<X>"), (yrow, "<Y>")):
-        mean = _real(_contract(state, row), name)
-        square = _real(_contract(state, row, row), name + "^2")
-        out.append(square - mean * mean)
-    return tuple(out)
+    """(<dX^2>, <dY^2>) from the input variances (2n + 1)/4 per number mode, 1/4 per coherent one.
+
+    The weights w are projected on the eigenvectors first, so exp(-+R) w holds
+    no cancelling exp(+-r)-sized entries and each variance sums positive terms.
+    """
+    sigma = np.array([2 * m.n + 1 if isinstance(m, NumberState) else 1 for m in state.modes]) / 4
+    vecs, projected = coeffs.eigvecs, np.asarray(sel.weights) @ coeffs.eigvecs
+    rows = [vecs @ (np.exp(sign * coeffs.eigvals) * projected)[..., None] for sign in (-1.0, 1.0)]
+    return tuple((sigma * row[..., 0] ** 2).sum(axis=-1) for row in rows)
 
 
 def squeezing(coeffs: BogoliubovCoeffs, sel: QuadratureSelector, state: InputState):

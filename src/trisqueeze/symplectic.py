@@ -18,7 +18,7 @@ stack, misses them, as absolute residual matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,31 +89,36 @@ class BogoliubovCoeffs:
 
     Row j of ``c`` holds the annihilation-operator coefficients (f1, g1, h1)
     of output mode j+1, row j of ``d`` the creation-operator coefficients
-    (f2, g2, h2).  For a unitary transform c = cosh(R) and d = -sinh(R).
-    ``c`` and ``d`` are (3, 3) for one coupling triple, or (P, 3, 3) for a
-    stack of P triples whose tables are ``c[p]`` and ``d[p]``.
+    (f2, g2, h2).  For a unitary transform c = cosh(R) and d = -sinh(R), taken
+    through R = V diag(eigvals) V^T with V = ``eigvecs``.  ``c``, ``d`` and
+    ``eigvecs`` are (3, 3) and ``eigvals`` (3,) for one coupling triple, and
+    each gains a leading axis P for a stack of P triples.
     """
 
     c: np.ndarray
     d: np.ndarray
+    eigvals: np.ndarray
+    eigvecs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.c, dtype=float)
-        d = np.array(self.d, dtype=float)
-        if c.shape != d.shape:
-            raise ValueError(f"c and d must have the same shape, got {c.shape} and {d.shape}")
-        if c.ndim not in (2, 3) or c.shape[-2:] != (3, 3):
-            raise ValueError(f"coefficient tables must be (3, 3) or (P, 3, 3), got {c.shape}")
-        if not (np.isfinite(c).all() and np.isfinite(d).all()):
-            raise ValueError("coefficient tables must be finite")
-        c.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        tables = {f.name: np.array(getattr(self, f.name), dtype=float) for f in fields(self)}
+        shape, *others = (table.shape for table in tables.values())
+        if others[0] != shape:
+            raise ValueError(f"c and d must have the same shape, got {shape} and {others[0]}")
+        if len(shape) not in (2, 3) or shape[-2:] != (3, 3):
+            raise ValueError(f"coefficient tables must be (3, 3) or (P, 3, 3), got {shape}")
+        if others[1:] != [shape[:-1], shape]:
+            raise ValueError(f"eigenpairs of {shape} tables must be {shape[:-1]} and {shape}, "
+                             f"got {others[1]} and {others[2]}")
+        for name, table in tables.items():
+            if not np.isfinite(table).all():
+                raise ValueError("coefficient tables must be finite")
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
     @classmethod
     def identity(cls):
-        return cls(c=np.eye(3), d=np.zeros((3, 3)))
+        return cls(c=np.eye(3), d=np.zeros((3, 3)), eigvals=np.zeros(3), eigvecs=np.eye(3))
 
     def mode_row(self, mode):
         """(f1, f2, g1, g2, h1, h2) of one output mode (1-based); (P,) arrays for a stack."""
@@ -142,13 +147,13 @@ def bogoliubov_table(triples) -> BogoliubovCoeffs:
     vt = eigvecs.transpose(0, 2, 1)
     c = (eigvecs * np.cosh(eigvals)[:, None, :]) @ vt
     d = -(eigvecs * np.sinh(eigvals)[:, None, :]) @ vt
-    return BogoliubovCoeffs(c=c, d=d)
+    return BogoliubovCoeffs(c=c, d=d, eigvals=eigvals, eigvecs=eigvecs)
 
 
 def bogoliubov_coeffs(params: SqueezeParams) -> BogoliubovCoeffs:
     """cosh/sinh of the coupling matrix: the one-row bogoliubov_table."""
     table = bogoliubov_table(params.as_tuple())
-    return BogoliubovCoeffs(c=table.c[0], d=table.d[0])
+    return BogoliubovCoeffs(table.c[0], table.d[0], table.eigvals[0], table.eigvecs[0])
 
 
 # A transform is accepted when every entry of both symplectic_check residuals is below this.

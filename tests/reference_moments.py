@@ -21,7 +21,7 @@ from trisqueeze.moments import (
     intensity_correlation,
     mean_photon,
 )
-from trisqueeze.symplectic import BogoliubovCoeffs, _validated_strength
+from trisqueeze.symplectic import _validated_strength
 
 
 def _real(value):
@@ -118,7 +118,7 @@ def ref_cauchy_schwarz(coeffs, state, j, k):
 
 
 def symmetric_coeffs_closed(r):
-    """Equal-coupling coefficients from the printed closed forms.
+    """Equal-coupling coefficient tables (c, d) from the printed closed forms.
 
     The four independent entries are
         f1(1) = [2 cosh r + cosh 2r]/3,   f2(1) = [2 sinh r - sinh 2r]/3,
@@ -134,7 +134,7 @@ def symmetric_coeffs_closed(r):
     off_d = -(math.sinh(r) + math.sinh(2.0 * r)) / 3.0
     c = np.full((3, 3), off_c) + (diag_c - off_c) * np.eye(3)
     d = np.full((3, 3), off_d) + (diag_d - off_d) * np.eye(3)
-    return BogoliubovCoeffs(c=c, d=d)
+    return c, d
 
 
 def squeezing_symmetric_closed(r, sel):

@@ -57,11 +57,11 @@ def test_c01_symmetric_closed_form_equivalence():
     for k in range(1, 31):
         r = 0.1 * k
         spectral = bogoliubov_coeffs(SqueezeParams.symmetric(r))
-        closed = symmetric_coeffs_closed(r)
+        closed_c, closed_d = symmetric_coeffs_closed(r)
         worst = max(
             worst,
-            float(np.max(np.abs(spectral.c - closed.c))),
-            float(np.max(np.abs(spectral.d - closed.d))),
+            float(np.max(np.abs(spectral.c - closed_c))),
+            float(np.max(np.abs(spectral.d - closed_d))),
         )
     report(1, worst < 1e-12, f"spectral vs printed closed forms, max |delta| = {worst:.2e}")
 

@@ -380,7 +380,7 @@ def test_table_rows_match_one_row_calls():
         *squeezing(table, sel, state),
     ]
     for p in range(3):
-        coeffs = BogoliubovCoeffs(table.c[p], table.d[p])
+        coeffs = BogoliubovCoeffs(table.c[p], table.d[p], table.eigvals[p], table.eigvecs[p])
         single = [
             mean_photon(coeffs, state, 2),
             intensity_correlation(coeffs, state, 3),
@@ -410,8 +410,7 @@ def sub_word_lengths(monkeypatch):
 
 
 # distinct sub-words per state: the empty word and, per mode, the 2 + 4 words of
-# length 1-2 that m1 and m2 need and the 8 + 16 of length 3-4 that only m4 needs
-ORDER2_SUB_WORDS = 1 + 3 * 6
+# length 1-2 that m2 needs and the 8 + 16 of length 3-4 that only m4 needs
 ORDER4_SUB_WORDS = 1 + 3 * 30
 
 
@@ -420,9 +419,9 @@ def test_squeezing_on_fresh_state_builds_no_fourth_order_word(sub_word_lengths):
     state = InputState.coherent(0.31 - 0.17j, 0.23j, -0.41)
     coeffs = bogoliubov_coeffs(SqueezeParams(0.2, -0.1, 0.3))
     squeezing(coeffs, QuadratureSelector(1, 1), state)
-    assert len(sub_word_lengths) == ORDER2_SUB_WORDS and max(sub_word_lengths) == 2
+    assert sub_word_lengths == []  # squeezing reads the input covariance, no tensor
     g2(coeffs, state, 1)
-    assert len(sub_word_lengths) == ORDER4_SUB_WORDS  # m4 reuses the 19 sub-words m2 ordered
+    assert len(sub_word_lengths) == ORDER4_SUB_WORDS
 
 
 @pytest.mark.parametrize(
@@ -430,7 +429,7 @@ def test_squeezing_on_fresh_state_builds_no_fourth_order_word(sub_word_lengths):
 )
 def test_state_tensors_bitwise_equal_in_any_build_order(state):
     built = []
-    for orders in itertools.permutations((1, 2, 4)):
+    for orders in itertools.permutations((2, 4)):
         moments._sub_words.cache_clear()
         moments._state_tensor.cache_clear()
         built.append({order: moments._state_tensor(state, order).tobytes() for order in orders})
@@ -465,7 +464,7 @@ def _every_sub_word_tensor(state, order):
 def test_number_modes_skip_unbalanced_sub_words(sub_word_lengths, state, sub_words):
     moments._sub_words.cache_clear()
     moments._state_tensor.cache_clear()
-    built = {order: moments._state_tensor(state, order) for order in (1, 2, 4)}
+    built = {order: moments._state_tensor(state, order) for order in (2, 4)}
     assert len(sub_word_lengths) == sub_words
     for order, tensor in built.items():
         assert tensor.tobytes() == _every_sub_word_tensor(state, order).tobytes()

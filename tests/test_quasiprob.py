@@ -351,7 +351,7 @@ def test_numeric_one_point_axes_equal_grid_cells(ns, s):
     # one axis rule: any non-empty axis, so origin-sweep's single point is a grid cell
     table = bogoliubov_table(np.random.default_rng(11).uniform(-1.5, 1.5, (7, 3)))
     xs, ys = np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 2.5, 7)
-    for coeffs in (BogoliubovCoeffs(table.c[0], table.d[0]), table):
+    for coeffs in (BogoliubovCoeffs(table.c[0], table.d[0], table.eigvals[0], table.eigvecs[0]), table):
         grid = wigner_numeric(coeffs, ns, xs, ys, s)
         scale = np.max(np.abs(grid))
         for i, j in ((0, 0), (4, 3), (8, 6), (2, 5)):

@@ -99,7 +99,7 @@ def test_series_matches_closed_forms_up_to_n10(monkeypatch, s):
 @pytest.mark.parametrize("ns", [(1, 1, 1), (0, 6, 0), (2, 0, 1), (0, 0, 0), (3, 0, 0), (0, 0, 4)])
 def test_table_rows_equal_one_row_calls(rng, ns):
     table = bogoliubov_table(rng.uniform(-2.0, 2.0, (7, 3)))
-    rows = [BogoliubovCoeffs(c, d) for c, d in zip(table.c, table.d)]
+    rows = [BogoliubovCoeffs(*row) for row in zip(table.c, table.d, table.eigvals, table.eigvecs)]
     xs, ys = np.linspace(-3.0, 3.0, 11), np.linspace(-2.0, 2.5, 6)
     for s in (0, -1):
         grid = wigner_numeric(table, ns, xs, ys, s)
@@ -122,5 +122,6 @@ def test_table_rows_equal_one_row_calls(rng, ns):
 def test_closed_table_rows_bit_equal_one_row_calls(ns, s, z):
     # scalar squares must round like the table's array squares: x * x, never C pow
     table = bogoliubov_table(np.random.default_rng(7).uniform(-6.0, 6.0, (4000, 3)))
-    one_row = [wigner_closed(BogoliubovCoeffs(c, d), ns, z, s) for c, d in zip(table.c, table.d)]
+    rows = zip(table.c, table.d, table.eigvals, table.eigvecs)
+    one_row = [wigner_closed(BogoliubovCoeffs(*row), ns, z, s) for row in rows]
     assert np.array_equal(wigner_closed(table, ns, z, s), one_row)

@@ -73,9 +73,9 @@ def test_printed_symmetric_values_at_half():
 @pytest.mark.parametrize("r", [0.1 * k for k in range(0, 31, 3)] + [2.95])
 def test_symmetric_closed_matches_spectral(r):
     spectral = bogoliubov_coeffs(SqueezeParams.symmetric(r))
-    closed = symmetric_coeffs_closed(r)
-    assert np.max(np.abs(spectral.c - closed.c)) < 1e-12
-    assert np.max(np.abs(spectral.d - closed.d)) < 1e-12
+    closed_c, closed_d = symmetric_coeffs_closed(r)
+    assert np.max(np.abs(spectral.c - closed_c)) < 1e-12
+    assert np.max(np.abs(spectral.d - closed_d)) < 1e-12
 
 
 def test_symmetry_chain_as_printed():
@@ -153,7 +153,7 @@ def test_symplectic_check_flags_corruption():
     c = np.array(coeffs.c)
     f1 = c[0, 0]
     c[0, 0] += 0.1
-    corrupted = BogoliubovCoeffs(c=c, d=coeffs.d)
+    corrupted = BogoliubovCoeffs(c, coeffs.d, coeffs.eigvals, coeffs.eigvecs)
     norm, comm = symplectic_check(corrupted)
     # normalization of mode 1 shifts by 2*0.1*f1 + 0.01
     assert norm[0, 0] == pytest.approx(0.2 * f1 + 0.01, rel=1e-9)
@@ -220,11 +220,15 @@ def test_table_guard_names_first_offending_row(rows, message):
 
 
 def test_coeffs_accept_one_triple_or_a_stack(rng):
-    one = BogoliubovCoeffs(c=np.eye(3), d=np.zeros((3, 3)))
-    assert one.c.shape == one.d.shape == (3, 3)
-    stack = BogoliubovCoeffs(c=rng.normal(size=(5, 3, 3)), d=rng.normal(size=(5, 3, 3)))
-    assert stack.c.shape == stack.d.shape == (5, 3, 3)
-    assert BogoliubovCoeffs(c=np.zeros((0, 3, 3)), d=np.zeros((0, 3, 3))).c.shape == (0, 3, 3)
+    one = BogoliubovCoeffs(c=np.eye(3), d=np.zeros((3, 3)), eigvals=np.zeros(3), eigvecs=np.eye(3))
+    assert one.c.shape == one.d.shape == one.eigvecs.shape == (3, 3) and one.eigvals.shape == (3,)
+    stack = BogoliubovCoeffs(*rng.normal(size=(2, 5, 3, 3)), rng.normal(size=(5, 3)),
+                             rng.normal(size=(5, 3, 3)))
+    assert stack.c.shape == stack.d.shape == stack.eigvecs.shape == (5, 3, 3)
+    assert stack.eigvals.shape == (5, 3)
+    empty = BogoliubovCoeffs(np.zeros((0, 3, 3)), np.zeros((0, 3, 3)), np.zeros((0, 3)),
+                             np.zeros((0, 3, 3)))
+    assert empty.c.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("c, d, message", [
@@ -237,16 +241,33 @@ def test_coeffs_accept_one_triple_or_a_stack(rng):
     (np.eye(3), np.diag([0.0, np.inf, 0.0]), "coefficient tables must be finite"),
 ])
 def test_coeffs_reject_malformed_tables(c, d, message):
+    # eigenpairs shaped like c's, so only the malformed c or d is refused
     with pytest.raises(ValueError) as excinfo:
-        BogoliubovCoeffs(c=c, d=d)
+        BogoliubovCoeffs(c=c, d=d, eigvals=np.zeros(c.shape[:-1]), eigvecs=np.zeros(c.shape))
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("eigvals, eigvecs, message", [
+    (np.zeros(3), np.zeros((2, 3, 3)),
+     "eigenpairs of (2, 3, 3) tables must be (2, 3) and (2, 3, 3), got (3,) and (2, 3, 3)"),
+    (np.zeros((2, 3)), np.zeros((2, 3, 4)),
+     "eigenpairs of (2, 3, 3) tables must be (2, 3) and (2, 3, 3), got (2, 3) and (2, 3, 4)"),
+    (np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 0.0]]), np.zeros((2, 3, 3)),
+     "coefficient tables must be finite"),
+    (np.zeros((2, 3)), np.full((2, 3, 3), -np.inf), "coefficient tables must be finite"),
+])
+def test_coeffs_reject_malformed_eigenpairs(eigvals, eigvecs, message):
+    with pytest.raises(ValueError) as excinfo:
+        BogoliubovCoeffs(c=np.zeros((2, 3, 3)), d=np.zeros((2, 3, 3)), eigvals=eigvals,
+                         eigvecs=eigvecs)
     assert str(excinfo.value) == message
 
 
 def test_table_arrays_are_read_only():
     table = bogoliubov_table([(0.3, -0.2, 0.5), (1.1, 0.0, -0.4)])
-    for array in (table.c, table.d):
+    for array in (table.c, table.d, table.eigvals, table.eigvecs):
         with pytest.raises(ValueError):
-            array[0, 0, 0] = 1.0
+            array[(0,) * array.ndim] = 1.0
 
 
 def test_stacked_mode_row_equals_per_row_mode_row(rng):
