@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ladder import (
+    ALPHA_MAX,
+    CoherentState,
     InputState,
     LadderPolynomial,
     NumberState,
@@ -39,6 +41,10 @@ from .symplectic import BogoliubovCoeffs
 
 MEAN_PHOTON_FLOOR = 1e-12
 _HERMITIAN_IMAG_TOL = 1e-9
+# Powers of two that round a subnormal moment once (see _contract); with |c| <=
+# 8.1e7 at R_MAX an order-4 sum stays below 1e270 times the largest m4 entry.
+_SCALE = 2.0 ** 256
+_SYMBOL_SCALE = 2.0 ** 64
 
 _SYMBOLS = [LadderPolynomial.annihilator(m) for m in (1, 2, 3)]
 _SYMBOLS += [LadderPolynomial.creator(m) for m in (1, 2, 3)]
@@ -89,20 +95,40 @@ def _real(value, what):
 
 @functools.lru_cache(maxsize=1)
 def _sub_words(state: InputState):
-    """Memo {sub-word: expectation} of one input state, shared by its tensor orders."""
+    """Memo {sub-word: scaled expectation} of one input state, shared by its tensor orders."""
     return {}
+
+
+def _sub_word(state, mode, key):
+    """_SYMBOL_SCALE**len(key) times <sub-word> of one mode of the state.
+
+    A number mode's sub-word with unequal creator and annihilator counts is
+    exactly 0j, since <n|a+^p a^q|n> = 0 for p != q, and is not normally ordered.
+    A coherent amplitude that passes the amplitude guard times _SYMBOL_SCALE
+    enters scaled, each term times the scale of its contracted pairs, so a tiny
+    |alpha|^2 is not rounded as a subnormal.
+    """
+    mode_state = state.modes[mode]
+    if isinstance(mode_state, NumberState) and 2 * sum(i < 3 for i in key) != len(key):
+        return 0j
+    poly = normal_order(*(_SYMBOLS[i] for i in key))
+    if isinstance(mode_state, NumberState) or abs(mode_state.alpha) * _SYMBOL_SCALE > ALPHA_MAX:
+        return _SYMBOL_SCALE ** len(key) * expectation(poly, state)
+    modes = list(state.modes)
+    modes[mode] = CoherentState(_SYMBOL_SCALE * mode_state.alpha)
+    terms = {k: c * _SYMBOL_SCALE ** (len(key) - sum(k)) for k, c in poly.terms().items()}
+    return expectation(LadderPolynomial(terms), InputState(tuple(modes)))
 
 
 @functools.lru_cache(maxsize=2)
 def _state_tensor(state: InputState, order: int):
-    """m_order of one input state (order 2 or 4), read-only, built on first request.
+    """m_order of one input state (order 2 or 4) times _SYMBOL_SCALE**order, read-only.
 
-    The state is a product state, so each entry is the product over modes of
-    the expectation of that mode's sub-word.  The orders share one memo, so
-    each of the at most 30 distinct sub-words of a mode is normally ordered
-    once per state, and an entry does not depend on which order came first.
-    A number mode's sub-word with unequal creator and annihilator counts is
-    exactly 0j, since <n|a+^p a^q|n> = 0 for p != q, and is not normally ordered.
+    Each order is built on first request.  The state is a product state, so
+    each entry is the product over modes of the expectation of that mode's
+    sub-word.  The orders share one memo, so each of the at most 30 distinct
+    sub-words of a mode is normally ordered once per state, and an entry does
+    not depend on which order came first.
     """
     memo = _sub_words(state)
 
@@ -111,11 +137,7 @@ def _state_tensor(state: InputState, order: int):
         for mode in range(3):
             key = tuple(i for i in word if i % 3 == mode)
             if key not in memo:
-                balanced = 2 * sum(i < 3 for i in key) == len(key)
-                if balanced or not isinstance(state.modes[mode], NumberState):
-                    memo[key] = expectation(normal_order(*(_SYMBOLS[i] for i in key)), state)
-                else:
-                    memo[key] = 0j
+                memo[key] = _sub_word(state, mode, key)
             value *= memo[key]
         return value
 
@@ -135,13 +157,19 @@ def _contract(state, *rows):
 
     Order 4 is taken as (w_1 (x) w_2) . m4[36x36] . (w_3 (x) w_4), so the
     transients stay (..., 36).
+
+    w_1 (and w_3 at order 4) enter times _SCALE and the tensor carries
+    _SYMBOL_SCALE per symbol.  Powers of two are exact, so a result in the
+    normal range keeps its bits, while products of tiny couplings or amplitudes
+    stay above the smallest normal float and a subnormal result rounds once.
     """
     tensor = _state_tensor(state, len(rows))
+    left, right = _SCALE * rows[0], rows[1]
     if len(rows) == 4:
-        rows = _pairs(rows[0], rows[1]), _pairs(rows[2], rows[3])
+        left, right = _pairs(left, right), _pairs(_SCALE * rows[2], rows[3])
         tensor = tensor.reshape(36, 36)
-    left, right = rows
-    return ((left @ tensor) * right).sum(axis=-1)
+    unscale = _SCALE ** (len(rows) // 2) * _SYMBOL_SCALE ** len(rows)
+    return ((left @ tensor) * right).sum(axis=-1) / unscale
 
 
 def _rows(coeffs: BogoliubovCoeffs, mode):
@@ -221,7 +249,7 @@ def g2(coeffs: BogoliubovCoeffs, state: InputState, mode: int):
 
 
 def cauchy_schwarz(coeffs: BogoliubovCoeffs, state: InputState, j: int, k: int):
-    """Cauchy-Schwarz ratio V_jk; positive values are classically forbidden."""
+    """Cauchy-Schwarz ratio V_jk; negative values are classically forbidden."""
     if j == k:
         raise ValueError("Cauchy-Schwarz ratio needs two distinct modes")
     cross = cross_correlation(coeffs, state, j, k)

@@ -8,7 +8,10 @@ mixes every annihilation operator into all six ladder operators,
 where R is the symmetric zero-diagonal matrix of pair couplings.  The matrix
 functions are taken through the eigendecomposition of R, which reproduces the
 printed equal-coupling closed forms exactly: r*(J - I) has eigenvalue 2r on
-(1,1,1) and a doubly degenerate eigenvalue -r.
+(1,1,1) and a doubly degenerate eigenvalue -r.  The coefficient table keeps
+that eigendecomposition: the output quadratures are exp(-R) (= c + d) and
+exp(+R) (= c - d) times the input ones, and read through the eigenpairs they
+keep digits that the sum of the exp(+r)-sized c and d tables cancels.
 
 A unitary transform keeps [a_j, a_k+] = delta_jk and [a_j, a_k] = 0;
 ``symplectic_check`` returns how far a coefficient table, or each table of a

@@ -11,10 +11,12 @@ certificate of the (0, n, n) input live here as well: only tests use them.
 """
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 
-from trisqueeze.ladder import InputState, LadderPolynomial, expectation, normal_order
+from trisqueeze.ladder import InputState, LadderPolynomial, NumberState, expectation, normal_order
 from trisqueeze.moments import (
     MEAN_PHOTON_FLOOR,
     UndefinedMomentError,
@@ -23,6 +25,7 @@ from trisqueeze.moments import (
 )
 from trisqueeze.symplectic import _validated_strength
 
+_FACTOR_SCALE = 2 ** 128
 
 def _real(value):
     value = complex(value)
@@ -79,23 +82,59 @@ def _mode_polys(coeffs, mode):
     return amode, amode.dagger()
 
 
+def _mp_mode_moment(mode_state, p, q):
+    """<a+^p a^q> of one mode in mpmath: exact for a number mode, unrounded for a coherent one."""
+    if isinstance(mode_state, NumberState):
+        return math.perm(mode_state.n, p) if p == q else 0
+    alpha = mpmath.mpc(mode_state.alpha)
+    return mpmath.conj(alpha) ** p * alpha ** q
+
+
+def _to_float(value):
+    """The double nearest an mpf, subnormals included (Fraction division rounds once)."""
+    man, exp = value.man_exp  # man is the unsigned mantissa
+    magnitude = float(Fraction(man) * Fraction(2) ** exp)
+    return -magnitude if value < 0 else magnitude
+
+
+def _normal_moment(state, *factors):
+    """Real <factor_1 ... factor_n>, rounded to a double once.
+
+    Each factor is multiplied by 2**128 before ``normal_order``, so products of
+    tiny couplings keep full precision, and the normally ordered terms are
+    summed against the state in 40-digit mpmath, so a coherent amplitude's
+    |alpha|^2 is not stored as a rounded subnormal either.  The sum is scaled
+    back and rounded to the nearest double, subnormal or not.
+    """
+    poly = normal_order(*(_FACTOR_SCALE * factor for factor in factors))
+    with mpmath.workdps(40):
+        total = mpmath.mpc(0)
+        for key, coeff in poly.terms().items():
+            term = mpmath.mpc(coeff)
+            for m in range(3):
+                term *= _mp_mode_moment(state.modes[m], key[m], key[3 + m])
+            total += term
+        total /= mpmath.mpf(_FACTOR_SCALE) ** len(factors)
+        return _real(complex(_to_float(total.real), _to_float(total.imag)))
+
+
 def ref_mean_photon(coeffs, state, mode):
     """<a+ a> of one output mode."""
     amode, adag = _mode_polys(coeffs, mode)
-    return _real(expectation(normal_order(adag, amode), state))
+    return _normal_moment(state, adag, amode)
 
 
 def ref_intensity_correlation(coeffs, state, mode):
     """<a+^2 a^2> of one output mode."""
     amode, adag = _mode_polys(coeffs, mode)
-    return _real(expectation(normal_order(adag, adag, amode, amode), state))
+    return _normal_moment(state, adag, adag, amode, amode)
 
 
 def ref_cross_correlation(coeffs, state, j, k):
     """<n_j n_k> between two distinct output modes."""
     aj, ajd = _mode_polys(coeffs, j)
     ak, akd = _mode_polys(coeffs, k)
-    return _real(expectation(normal_order(ajd, aj, akd, ak), state))
+    return _normal_moment(state, ajd, aj, akd, ak)
 
 
 def ref_g2(coeffs, state, mode):

@@ -6,13 +6,15 @@ g2, V_jk and S_x/S_y are near-cancelling differences of order-one ratios
 their terms do not), so a purely relative bound does not fit them; they are
 held to the envelope |engine - reference| <= 1e-12 * (1 + |reference|).
 Covered: Fock inputs with n <= 3, coherent inputs with |alpha| <= 2, products
-mixing both kinds of mode, and couplings with |r| <= 2.
+mixing both kinds of mode, and couplings with |r| <= 2, down to couplings and
+amplitudes so small that a raw moment is a subnormal float (the pinned
+examples), where both sides must round to the same double.
 """
 
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisqueeze.ladder import CoherentState, InputState, NumberState
@@ -109,12 +111,28 @@ amplitude = st.builds(complex, component, component)
 
 
 @given(triple=couplings, ns=st.tuples(occupation, occupation, occupation))
+@example(triple=(1.0, 1.015445705292223e-158, 0.0), ns=(0, 0, 0))
+@example(triple=(0.5, 1.0762652491594606e-81, 1.0762652491594606e-81), ns=(0, 0, 0))
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_reference_fock(triple, ns):
     _check_equivalent(triple, InputState.number(*ns))
 
 
 @given(triple=couplings, alphas=st.tuples(amplitude, amplitude, amplitude))
+@example(triple=(0.0, 2.2342055779943915e-80, 1.0), alphas=(0j, 0j, 1 + 1j))
+@example(triple=(0.0, 1.0, 0.0), alphas=(0j, 5.554306217777034e-162j, 0.5j))
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_reference_coherent(triple, alphas):
     _check_equivalent(triple, InputState.coherent(*alphas))
+
+
+def test_subnormal_moments_round_once():
+    # exact values (80-digit mpmath): 1.304e-323 and 6.097e-323, so the correctly
+    # rounded doubles are 3 and 12 subnormal steps of 2**-1074
+    step = 2.0 ** -1074
+    tiny = bogoliubov_coeffs(SqueezeParams(0.5, 1.0762652491594606e-81, 1.0762652491594606e-81))
+    assert intensity_correlation(tiny, InputState.vacuum(), 3) == 3 * step
+    coupled = bogoliubov_coeffs(SqueezeParams(0.0, 1.0, 0.0))
+    state = InputState.coherent(0, 5.554306217777034e-162j, 0.5j)
+    assert cross_correlation(coupled, state, 2, 3) == 12 * step
+    assert cross_correlation(coupled, state, 1, 2) == 11 * step

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,32 @@ def test_three_mode_exponential_law():
         sx, sy = squeezing(coeffs, sel, VACUUM)
         assert sx == pytest.approx(math.exp(-4 * r) - 1.0, abs=1e-12)
         assert sy == pytest.approx(math.exp(4 * r) - 1.0, rel=1e-12)
+
+
+def _margin_mpmath(triple, sel, ns):
+    """2<dX^2>/C from a 60-digit exp(-R): sum_k (2 n_k + 1)/4 (exp(-R) w)_k^2 over C/2."""
+    with mpmath.workdps(60):
+        r1, r2, r3 = (mpmath.mpf(r) for r in triple)
+        rows = mpmath.expm(-mpmath.matrix([[0, r1, r2], [r1, 0, r3], [r2, r3, 0]]))
+        rows = rows * mpmath.matrix(list(sel.weights))
+        var = sum((2 * n + 1) * rows[k] ** 2 for k, n in enumerate(ns)) / 4
+        return float(2 * var / mpmath.mpf(sel.normalizer))
+
+
+@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 0.7, 0.4)])
+@pytest.mark.parametrize("ns", [(0, 0, 0), (1, 1, 1)])
+def test_squeezing_margin_matches_mpmath_up_to_r8(shape, ns):
+    # the margin S_x + 1 = 2<dX^2>/C falls to exp(-4r) on the symmetric line; its
+    # relative error must not grow with the exp(+r)-sized c and d entries
+    state = InputState.number(*ns)
+    for r in (0.5, 1.0, 2.0, 4.0, 6.0, 8.0):
+        triple = tuple(r * f for f in shape)
+        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
+        for sel in (QuadratureSelector(0, 0), QuadratureSelector(1, 0), QuadratureSelector(1, 1)):
+            var_x, _ = quadrature_variances(coeffs, sel, state)
+            want = _margin_mpmath(triple, sel, ns)
+            got = 2.0 * var_x / sel.normalizer
+            assert abs(got - want) <= 1e-10 * want, (triple, sel, ns, got, want)
 
 
 def test_single_mode_never_squeezed_closed_form():
@@ -467,4 +494,5 @@ def test_number_modes_skip_unbalanced_sub_words(sub_word_lengths, state, sub_wor
     built = {order: moments._state_tensor(state, order) for order in (2, 4)}
     assert len(sub_word_lengths) == sub_words
     for order, tensor in built.items():
-        assert tensor.tobytes() == _every_sub_word_tensor(state, order).tobytes()
+        scaled = moments._SYMBOL_SCALE ** order * _every_sub_word_tensor(state, order)
+        assert tensor.tobytes() == scaled.tobytes()
