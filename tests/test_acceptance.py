@@ -38,6 +38,7 @@ from trisqueeze.symplectic import (
     BogoliubovCoeffs,
     SqueezeParams,
     bogoliubov_coeffs,
+    bogoliubov_table,
     symplectic_check,
 )
 
@@ -381,3 +382,54 @@ def test_c12_q_positivity_and_normalization():
             worst_norm = max(worst_norm, abs(riemann_sum(xs, xs, grid) - 1.0))
     ok = q_floor >= -1e-10 and worst_norm < 1e-4
     report(12, ok, f"Q floor {q_floor:.2e} (>=-1e-10), normalization dev {worst_norm:.2e} (<1e-4)")
+
+
+def _octant_points(rho, n_sphere=32000):
+    """Fibonacci-lattice points of the sphere |r| = rho in the positive octant (about
+    n_sphere/8 of them), keeping those whose every r_j is at least rho/10."""
+    i = np.arange(n_sphere) + 0.5
+    z = 1.0 - 2.0 * i / n_sphere
+    phi = i * math.pi * (3.0 - math.sqrt(5.0))
+    ring = np.sqrt(1.0 - z * z)
+    points = rho * np.stack([ring * np.cos(phi), ring * np.sin(phi), z], axis=1)
+    return points[(points >= rho / 10).all(axis=1)]
+
+
+# (label, measure of a coefficient table, its state, the radii it is asserted at, the
+# radii whose winner is checked against the cutoff-15 oracle).  V12 is positive
+# (classical) on both sides at rho = 0.2 and 0.4, and at cutoff 15 its rho = 0.8
+# winner holds 4.5e-6 in the top shell, past the 1e-8 leakage guard, so its oracle
+# check waits for larger cutoffs.
+_ASYMMETRY_MEASURES = (
+    ("g2 of mode 1, n=(1,1,1)", lambda c, state: g2(c, state, 1), InputState.number(1, 1, 1),
+     (0.2, 0.4, 0.8), (0.2, 0.4)),
+    ("two-mode S_x (1,0), vacuum", lambda c, state: squeezing(c, QuadratureSelector(1, 0), state)[0],
+     VACUUM, (0.2, 0.4, 0.8), (0.2, 0.4)),
+    ("V12, alpha=(1,1,1)", lambda c, state: cauchy_schwarz(c, state, 1, 2),
+     InputState.coherent(1, 1, 1), (0.8,), ()),
+)
+
+
+def test_c13_asymmetric_couplings_beat_the_symmetric_one():
+    # the abstract: for certain parameters the asymmetric case shows stronger
+    # nonclassical effects than the symmetric one at the same |r| = rho
+    results = []
+    for label, measure, state, radii, oracle_radii in _ASYMMETRY_MEASURES:
+        ok, parts = True, []
+        for rho in radii:
+            points = _octant_points(rho)
+            values = measure(bogoliubov_table(points), state)
+            symmetric = float(measure(bogoliubov_table([rho / math.sqrt(3.0)] * 3), state)[0])
+            best = int(np.argmin(values))
+            ok = ok and len(points) > 2000 and values[best] < symmetric
+            detail = f"rho {rho}: symmetric {symmetric:.3f}, min {values[best]:.3f}"
+            if rho in oracle_radii:
+                params = SqueezeParams(*points[best])
+                error = oracle_report(SqueezePropagator(params, FockCutoff(15)), state)["max_rel_error"]
+                ok = ok and error < 1e-6
+                detail += f" (oracle {error:.1e})"
+            parts.append(detail)
+        results.append((label, ok, "; ".join(parts)))
+    for label, ok, detail in results:
+        print(f"ACCEPTANCE 13 ({label}): {'PASS' if ok else 'FAIL'} - {detail}")
+    assert all(ok for _, ok, _ in results), results
