@@ -139,6 +139,8 @@ def _state_tensor(state: InputState, order: int):
             if key not in memo:
                 memo[key] = _sub_word(state, mode, key)
             value *= memo[key]
+            if not value:
+                break
         return value
 
     words = itertools.product(range(6), repeat=order)
