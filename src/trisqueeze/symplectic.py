@@ -11,7 +11,10 @@ printed equal-coupling closed forms exactly: r*(J - I) has eigenvalue 2r on
 (1,1,1) and a doubly degenerate eigenvalue -r.  The coefficient table keeps
 that eigendecomposition: the output quadratures are exp(-R) (= c + d) and
 exp(+R) (= c - d) times the input ones, and read through the eigenpairs they
-keep digits that the sum of the exp(+r)-sized c and d tables cancels.
+keep digits that the sum of the exp(+r)-sized c and d tables cancels.  Near
+R = 0, cosh(R) - I is of order r^2 while eigh's round-off on c's unit diagonal
+is of order 1e-16, so c is built as I + V diag(2 sinh^2(lambda/2)) V^T: c - I
+then carries the relative digits of its own eigenvalue functions.
 
 A unitary transform keeps [a_j, a_k+] = delta_jk and [a_j, a_k] = 0;
 ``symplectic_check`` returns how far a coefficient table, or each table of a
@@ -148,7 +151,7 @@ def bogoliubov_table(triples) -> BogoliubovCoeffs:
         SqueezeParams(*r[first_bad])  # raises the row's guard message
     eigvals, eigvecs = np.linalg.eigh(_coupling_matrices(r))
     vt = eigvecs.transpose(0, 2, 1)
-    c = (eigvecs * np.cosh(eigvals)[:, None, :]) @ vt
+    c = np.eye(3) + (eigvecs * (2.0 * np.sinh(eigvals / 2.0) ** 2)[:, None, :]) @ vt
     d = -(eigvecs * np.sinh(eigvals)[:, None, :]) @ vt
     return BogoliubovCoeffs(c=c, d=d, eigvals=eigvals, eigvecs=eigvecs)
 

@@ -121,6 +121,7 @@ def test_engine_matches_reference_fock(triple, ns):
 @given(triple=couplings, alphas=st.tuples(amplitude, amplitude, amplitude))
 @example(triple=(0.0, 2.2342055779943915e-80, 1.0), alphas=(0j, 0j, 1 + 1j))
 @example(triple=(0.0, 1.0, 0.0), alphas=(0j, 5.554306217777034e-162j, 0.5j))
+@example(triple=(3.612587544597209e-34, 0.0, 3.612587544597209e-34), alphas=(0j, 1 + 0j, 1 + 0j))
 @settings(max_examples=40, deadline=None)
 def test_engine_matches_reference_coherent(triple, alphas):
     _check_equivalent(triple, InputState.coherent(*alphas))

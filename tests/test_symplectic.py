@@ -1,12 +1,15 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trisqueeze.cli import main
+from trisqueeze.ladder import InputState
+from trisqueeze.moments import cross_correlation
 from trisqueeze.symplectic import (
     ACCEPT_RESIDUAL,
     R_MAX,
@@ -201,6 +204,39 @@ def test_table_rows_match_per_row_eigh(rng):
         assert np.abs(table.d[p] - d).max() <= 1e-14 * scale
         one = bogoliubov_coeffs(SqueezeParams(*triple))
         assert np.array_equal(one.c, table.c[p]) and np.array_equal(one.d, table.d[p])
+
+
+def cosh_sinh_mpmath(triple, terms=80):
+    """cosh(R) and sinh(R) as 60-digit Taylor series of R, each entry rounded once to a double."""
+    with mpmath.workdps(60):
+        rmat = mpmath.matrix(coupling_matrix(SqueezeParams(*triple)).tolist())
+        term, sums = mpmath.eye(3), [mpmath.eye(3), mpmath.zeros(3, 3)]
+        for k in range(1, terms):
+            term = term * rmat / k
+            sums[k % 2] += term
+        return [np.array(m.tolist(), dtype=float) for m in sums]
+
+
+@pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 0.7, 0.4)])
+def test_table_keeps_its_digits_near_zero_coupling(shape):
+    # cosh(R) - I is of order r^2, so c's off-diagonal entries must carry digits of
+    # their own rather than eigh's round-off on the unit diagonal; that diagonal
+    # sits below c's 1e-16 resolution and is not held here, and r^2 stays normal
+    off = ~np.eye(3, dtype=bool)
+    for r in (1e-150, 1e-34, 1e-8, 1e-3, 0.5, 2.0):
+        triple = tuple(r * f for f in shape)
+        cosh, sinh = cosh_sinh_mpmath(triple)
+        table = bogoliubov_coeffs(SqueezeParams(*triple))
+        c_miss = np.abs(table.c - cosh)[off].max()
+        assert c_miss <= 1e-13 * np.abs(cosh[off]).max(), (triple, c_miss)
+        d_miss = np.abs(table.d + sinh).max()
+        assert d_miss <= 1e-13 * np.abs(sinh).max(), (triple, d_miss)
+
+
+def test_tiny_coupling_keeps_photon_correlation_nonnegative():
+    # the exact <n_1 n_2> is positive and underflows; eigh round-off in c once made it -7.7e-50
+    coeffs = bogoliubov_coeffs(SqueezeParams(1.2439552499366604e-277, 1.2439552499366604e-277, 0.0))
+    assert cross_correlation(coeffs, InputState.number(0, 0, 1), 1, 2) >= 0.0
 
 
 @pytest.mark.parametrize("rows, message", [
