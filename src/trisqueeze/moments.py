@@ -10,7 +10,10 @@ state:
 
 with m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l> built per state
 by the exact normal-ordering engine (``ladder``), each order on demand; a
-number mode skips its unbalanced sub-words, whose expectation is exactly zero.
+number mode skips its unbalanced sub-words, whose expectation is exactly zero,
+and a word's product stops at its first zero factor, so the later modes'
+sub-words of a vanishing word are neither built nor looked up (1,206 of a
+number state's 1,296 m4 words vanish).
 Squeezing reads no tensor: <dX^2> = sum_k sigma_k (exp(-R) w)_k^2 over the
 input quadrature variances sigma_k, and <dY^2> likewise with exp(+R).
 
@@ -126,9 +129,9 @@ def _state_tensor(state: InputState, order: int):
 
     Each order is built on first request.  The state is a product state, so
     each entry is the product over modes of the expectation of that mode's
-    sub-word.  The orders share one memo, so each of the at most 30 distinct
-    sub-words of a mode is normally ordered once per state, and an entry does
-    not depend on which order came first.
+    sub-word, stopped at its first zero factor.  The orders share one memo, so
+    each of the at most 30 distinct sub-words of a mode is normally ordered
+    once per state, and an entry does not depend on which order came first.
     """
     memo = _sub_words(state)
 
