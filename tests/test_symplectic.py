@@ -234,7 +234,7 @@ def test_table_keeps_its_digits_near_zero_coupling(shape):
 
 
 def test_tiny_coupling_keeps_photon_correlation_nonnegative():
-    # the exact <n_1 n_2> is positive and underflows; eigh round-off in c once made it -7.7e-50
+    # the exact <n_1 n_2> is positive and underflows, so round-off in c must not make it negative
     coeffs = bogoliubov_coeffs(SqueezeParams(1.2439552499366604e-277, 1.2439552499366604e-277, 0.0))
     assert cross_correlation(coeffs, InputState.number(0, 0, 1), 1, 2) >= 0.0
 
