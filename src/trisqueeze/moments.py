@@ -2,20 +2,19 @@
 
 Writing A = (a1, a2, a3, a1+, a2+, a3+), output mode j is S+ a_j S = U_j.A
 with U_j = [c_j | d_j], and its adjoint is V_j.A with V_j = [d_j | c_j].
-Every photon-number moment is then one contraction with a tensor of the input
-state:
-
-    <n_j> = m2[V_j, U_j],   <a_j+2 a_j2> = m4[V_j, V_j, U_j, U_j],
-    <n_j n_k> = m4[V_j, U_j, V_k, U_k],
-
-with m2[i,j] = <A_i A_j> and m4[i,j,k,l] = <A_i A_j A_k A_l> built per state
-by the exact normal-ordering engine (``ladder``), each order on demand; a
-number mode skips its unbalanced sub-words, whose expectation is exactly zero,
-and a word's product stops at its first zero factor, so the later modes'
-sub-words of a vanishing word are neither built nor looked up (1,206 of a
-number state's 1,296 m4 words vanish).
-Squeezing reads no tensor: <dX^2> = sum_k sigma_k (exp(-R) w)_k^2 over the
-input quadrature variances sigma_k, and <dY^2> likewise with exp(+R).
+Every fourth moment is then one contraction with the one tensor of the input
+state, <a_j+2 a_j2> = m4[V_j, V_j, U_j, U_j] and <n_j n_k> = m4[V_j, U_j, V_k, U_k],
+with m4[i,j,k,l] = <A_i A_j A_k A_l> built once per state by the exact
+normal-ordering engine (``ladder``); a number mode skips its unbalanced
+sub-words, whose expectation is exactly zero, and a word's product stops at
+its first zero factor, so the later modes' sub-words of a vanishing word are
+neither built nor looked up (1,206 of a number state's 1,296 m4 words vanish).
+Second moments read the input occupations n_k and amplitudes alpha_k (a
+coherent mode is n_k = 0 displaced by alpha_k): <n_j> = sum_k c_jk^2 n_k +
+d_jk^2 (n_k + 1) + |mu_j|^2 with the output displacement mu_j = sum_k c_jk
+alpha_k + d_jk conj(alpha_k), and <dX^2> = sum_k sigma_k (exp(-R) w)_k^2 over
+the input quadrature variances sigma_k = (2 n_k + 1)/4, <dY^2> likewise with
+exp(+R).
 
 Every function takes a ``BogoliubovCoeffs`` of one coupling triple or of a
 stack of P triples; with a stack, the rows U_j, V_j are (P, 6) stacks and
@@ -26,26 +25,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ladder import (
-    ALPHA_MAX,
-    CoherentState,
-    InputState,
-    LadderPolynomial,
-    NumberState,
-    _mode_index,
-    expectation,
-    normal_order,
-)
+from .ladder import InputState, LadderPolynomial, NumberState, _mode_index, normal_order
 from .symplectic import BogoliubovCoeffs
 
 MEAN_PHOTON_FLOOR = 1e-12
 _HERMITIAN_IMAG_TOL = 1e-9
-# Powers of two that round a subnormal moment once (see _contract); with |c| <=
-# 8.1e7 at R_MAX an order-4 sum stays below 1e270 times the largest m4 entry.
+# Powers of two that round a subnormal moment once (see _contract and
+# mean_photon); with |c| <= 8.1e7 at R_MAX an order-4 sum stays below 1e270
+# times the largest m4 entry.
 _SCALE = 2.0 ** 256
 _SYMBOL_SCALE = 2.0 ** 64
 
@@ -96,58 +88,53 @@ def _real(value, what):
     return value.real[()]
 
 
-@functools.lru_cache(maxsize=1)
-def _sub_words(state: InputState):
-    """Memo {sub-word: scaled expectation} of one input state, shared by its tensor orders."""
-    return {}
-
-
-def _sub_word(state, mode, key):
-    """_SYMBOL_SCALE**len(key) times <sub-word> of one mode of the state.
+def _sub_word(mode_state, key):
+    """_SYMBOL_SCALE**len(key) times <sub-word> in the state of its one mode.
 
     A number mode's sub-word with unequal creator and annihilator counts is
-    exactly 0j, since <n|a+^p a^q|n> = 0 for p != q, and is not normally ordered.
-    A coherent amplitude that passes the amplitude guard times _SYMBOL_SCALE
-    enters scaled, each term times the scale of its contracted pairs, so a tiny
-    |alpha|^2 is not rounded as a subnormal.
+    exactly 0j, since <n|a+^p a^q|n> = 0 for p != q, and is not normally ordered;
+    a balanced one orders into balanced terms a+^p a^p alone, each worth n!/(n-p)!.
+    Each term a+^p a^q enters times the scale of its contracted pairs,
+    _SYMBOL_SCALE**(len - p - q), and a coherent amplitude enters times
+    _SYMBOL_SCALE, so a tiny |alpha|^2 is not rounded as a subnormal.
     """
-    mode_state = state.modes[mode]
-    if isinstance(mode_state, NumberState) and 2 * sum(i < 3 for i in key) != len(key):
+    number = isinstance(mode_state, NumberState)
+    if number and 2 * sum(i < 3 for i in key) != len(key):
         return 0j
-    poly = normal_order(*(_SYMBOLS[i] for i in key))
-    if isinstance(mode_state, NumberState) or abs(mode_state.alpha) * _SYMBOL_SCALE > ALPHA_MAX:
-        return _SYMBOL_SCALE ** len(key) * expectation(poly, state)
-    modes = list(state.modes)
-    modes[mode] = CoherentState(_SYMBOL_SCALE * mode_state.alpha)
-    terms = {k: c * _SYMBOL_SCALE ** (len(key) - sum(k)) for k, c in poly.terms().items()}
-    return expectation(LadderPolynomial(terms), InputState(tuple(modes)))
+    alpha = 0j if number else _SYMBOL_SCALE * mode_state.alpha
+    total = 0j
+    for powers, coeff in normal_order(*(_SYMBOLS[i] for i in key)).terms().items():
+        p, q = sum(powers[:3]), sum(powers[3:])
+        moment = (_SYMBOL_SCALE ** (2 * p) * math.perm(mode_state.n, p) if number
+                  else alpha.conjugate() ** p * alpha ** q)
+        total += coeff * _SYMBOL_SCALE ** (len(key) - p - q) * moment
+    return total
 
 
-@functools.lru_cache(maxsize=2)
-def _state_tensor(state: InputState, order: int):
-    """m_order of one input state (order 2 or 4) times _SYMBOL_SCALE**order, read-only.
+@functools.lru_cache(maxsize=1)
+def _state_tensor(state: InputState):
+    """m4 of one input state times _SYMBOL_SCALE**4, as a read-only 36x36 array.
 
-    Each order is built on first request.  The state is a product state, so
-    each entry is the product over modes of the expectation of that mode's
-    sub-word, stopped at its first zero factor.  The orders share one memo, so
-    each of the at most 30 distinct sub-words of a mode is normally ordered
-    once per state, and an entry does not depend on which order came first.
+    The state is a product state, so each entry is the product over modes of
+    the expectation of that mode's sub-word, stopped at its first zero factor.
+    Each of the at most 30 distinct sub-words of a mode is normally ordered
+    once per build.
     """
-    memo = _sub_words(state)
+    memo = {}
 
     def moment(word):
         value = 1.0
-        for mode in range(3):
+        for mode, mode_state in enumerate(state.modes):
             key = tuple(i for i in word if i % 3 == mode)
             if key not in memo:
-                memo[key] = _sub_word(state, mode, key)
+                memo[key] = _sub_word(mode_state, key)
             value *= memo[key]
             if not value:
                 break
         return value
 
-    words = itertools.product(range(6), repeat=order)
-    tensor = np.array([moment(w) for w in words], dtype=complex).reshape((6,) * order)
+    words = itertools.product(range(6), repeat=4)
+    tensor = np.array([moment(w) for w in words], dtype=complex).reshape(36, 36)
     tensor.setflags(write=False)
     return tensor
 
@@ -157,24 +144,17 @@ def _pairs(a, b):
     return (a[..., :, None] * b[..., None, :]).reshape(a.shape[:-1] + (36,))
 
 
-def _contract(state, *rows):
-    """<(w_1.A) ... (w_n.A)> of the state for n = 2 or 4 row stacks w, each (..., 6).
+def _contract(state, w1, w2, w3, w4):
+    """<(w1.A)(w2.A)(w3.A)(w4.A)> of the state for four row stacks w, each (..., 6).
 
-    Order 4 is taken as (w_1 (x) w_2) . m4[36x36] . (w_3 (x) w_4), so the
-    transients stay (..., 36).
-
-    w_1 (and w_3 at order 4) enter times _SCALE and the tensor carries
+    Taken as (w1 (x) w2) . m4[36x36] . (w3 (x) w4), so the transients stay
+    (..., 36).  w1 and w3 enter times _SCALE and the tensor carries
     _SYMBOL_SCALE per symbol.  Powers of two are exact, so a result in the
     normal range keeps its bits, while products of tiny couplings or amplitudes
     stay above the smallest normal float and a subnormal result rounds once.
     """
-    tensor = _state_tensor(state, len(rows))
-    left, right = _SCALE * rows[0], rows[1]
-    if len(rows) == 4:
-        left, right = _pairs(left, right), _pairs(_SCALE * rows[2], rows[3])
-        tensor = tensor.reshape(36, 36)
-    unscale = _SCALE ** (len(rows) // 2) * _SYMBOL_SCALE ** len(rows)
-    return ((left @ tensor) * right).sum(axis=-1) / unscale
+    left, right = _pairs(_SCALE * w1, w2), _pairs(_SCALE * w3, w4)
+    return ((left @ _state_tensor(state)) * right).sum(axis=-1) / (_SCALE ** 2 * _SYMBOL_SCALE ** 4)
 
 
 def _rows(coeffs: BogoliubovCoeffs, mode):
@@ -184,13 +164,19 @@ def _rows(coeffs: BogoliubovCoeffs, mode):
     return np.concatenate((c, d), axis=-1), np.concatenate((d, c), axis=-1)
 
 
+def _input_moments(state):
+    """(n_k, alpha_k) per input mode: a number mode has alpha_k = 0, a coherent one n_k = 0."""
+    n = np.array([getattr(m, "n", 0) for m in state.modes], dtype=float)
+    return n, np.array([getattr(m, "alpha", 0) for m in state.modes], dtype=complex)
+
+
 def quadrature_variances(coeffs, sel, state):
-    """(<dX^2>, <dY^2>) from the input variances (2n + 1)/4 per number mode, 1/4 per coherent one.
+    """(<dX^2>, <dY^2>) from the input quadrature variances sigma_k = (2 n_k + 1)/4.
 
     The weights w are projected on the eigenvectors first, so exp(-+R) w holds
     no cancelling exp(+-r)-sized entries and each variance sums positive terms.
     """
-    sigma = np.array([2 * m.n + 1 if isinstance(m, NumberState) else 1 for m in state.modes]) / 4
+    sigma = (2 * _input_moments(state)[0] + 1) / 4
     vecs, projected = coeffs.eigvecs, np.asarray(sel.weights) @ coeffs.eigvecs
     rows = [vecs @ (np.exp(sign * coeffs.eigvals) * projected)[..., None] for sign in (-1.0, 1.0)]
     return tuple((sigma * row[..., 0] ** 2).sum(axis=-1) for row in rows)
@@ -204,9 +190,15 @@ def squeezing(coeffs: BogoliubovCoeffs, sel: QuadratureSelector, state: InputSta
 
 
 def mean_photon(coeffs, state, mode):
-    """<a+ a> of one output mode."""
-    u, v = _rows(coeffs, mode)
-    return _real(_contract(state, v, u), "<n>")
+    """<a+ a> of one output mode from the input occupations and displacement.
+
+    The rows c, d enter times _SCALE and the sum is divided once, so a subnormal
+    result rounds once.
+    """
+    c, d = (_SCALE * table[..., _mode_index(mode), :] for table in (coeffs.c, coeffs.d))
+    n, alpha = _input_moments(state)
+    mu = c @ alpha + d @ alpha.conj()
+    return ((c ** 2 * n + d ** 2 * (n + 1)).sum(axis=-1) + mu.real ** 2 + mu.imag ** 2) / _SCALE ** 2
 
 
 def intensity_correlation(coeffs, state, mode):
