@@ -11,6 +11,7 @@ import inspect
 import json
 import math
 import runpy
+import shutil
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import trisqueeze
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "reproduce_figures.py"
+COMPARE = ROOT / "scripts" / "compare_outputs.py"
 SPANS = ROOT / "perfbench" / "spans.py"
 
 _CSV_HEADERS = {
@@ -96,6 +98,33 @@ def test_reproduce_figures_writes_every_output(tmp_path):
             assert set(json.loads(sidecar.read_text())) == {"aux", "method", "s", "x", "y"}
     assert len(expected) == 33
     assert {path.name for path in tmp_path.iterdir()} == expected
+
+
+def test_compare_outputs_reports_the_perturbed_file(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    runpy.run_path(str(SCRIPT))["run"](old)
+    compare = runpy.run_path(str(COMPARE))["main"]
+    capsys.readouterr()
+    assert compare([str(old), str(old)]) == 0
+    assert capsys.readouterr().out == "0 of 33 files differ\n"
+
+    shutil.copytree(old, new)
+    target = new / "g2_mode1_n111_symmetric.csv"
+    lines = target.read_text().split("\n")
+    cells = lines[3].split(",")
+    cells[-1] = repr(float(cells[-1]) + 2.0 ** -20)
+    lines[3] = ",".join(cells)
+    target.write_text("\n".join(lines))
+    assert compare([str(old), str(new)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "1 of 33 files differ",
+        "g2_mode1_n111_symmetric.csv: largest absolute difference 9.54e-07 (row 3, g2_mode)",
+        "",
+    ]
+
+    target.write_text("\n".join(lines[:-2] + [""]))
+    assert compare([str(old), str(new)]) == 1
+    assert capsys.readouterr().out == "mismatch: g2_mode1_n111_symmetric.csv: 199 rows != 200\n"
 
 
 def _namespaces():
