@@ -14,7 +14,9 @@ exp(+R) (= c - d) times the input ones, and read through the eigenpairs they
 keep digits that the sum of the exp(+r)-sized c and d tables cancels.  Near
 R = 0, cosh(R) - I is of order r^2 while eigh's round-off on c's unit diagonal
 is of order 1e-16, so c is built as I + V diag(2 sinh^2(lambda/2)) V^T: c - I
-then carries the relative digits of its own eigenvalue functions.
+then carries the relative digits of its own eigenvalue functions.  Likewise d
+= -(R + V diag(sinh(lambda) - lambda) V^T) keeps R's exact zeros, such as the
+diagonal of a path graph (r, 0, r), to 1e-16 r^3 rather than 1e-16 r.
 
 A unitary transform keeps [a_j, a_k+] = delta_jk and [a_j, a_k] = 0;
 ``symplectic_check`` returns how far a coefficient table, or each table of a
@@ -149,10 +151,15 @@ def bogoliubov_table(triples) -> BogoliubovCoeffs:
     first_bad = valid_prefix(r)
     if first_bad < len(r):
         SqueezeParams(*r[first_bad])  # raises the row's guard message
-    eigvals, eigvecs = np.linalg.eigh(_coupling_matrices(r))
+    rmat = _coupling_matrices(r)
+    eigvals, eigvecs = np.linalg.eigh(rmat)
     vt = eigvecs.transpose(0, 2, 1)
     c = np.eye(3) + (eigvecs * (2.0 * np.sinh(eigvals / 2.0) ** 2)[:, None, :]) @ vt
-    d = -(eigvecs * np.sinh(eigvals)[:, None, :]) @ vt
+    # sinh(lambda) - lambda with digits of its own: below |lambda| = 1, where the two
+    # cancel, its Taylor series to lambda^19 (truncation below 5e-17)
+    odd = np.polyval([1.0 / math.factorial(k) for k in range(19, 2, -2)], eigvals ** 2)
+    odd = np.where(np.abs(eigvals) < 1.0, eigvals ** 3 * odd, np.sinh(eigvals) - eigvals)
+    d = -(rmat + (eigvecs * odd[:, None, :]) @ vt)
     return BogoliubovCoeffs(c=c, d=d, eigvals=eigvals, eigvecs=eigvecs)
 
 

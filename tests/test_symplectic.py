@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from trisqueeze.cli import main
 from trisqueeze.ladder import InputState
-from trisqueeze.moments import cross_correlation
+from trisqueeze.moments import cross_correlation, intensity_correlation
 from trisqueeze.symplectic import (
     ACCEPT_RESIDUAL,
     R_MAX,
@@ -206,37 +206,70 @@ def test_table_rows_match_per_row_eigh(rng):
         assert np.array_equal(one.c, table.c[p]) and np.array_equal(one.d, table.d[p])
 
 
+def _series_mp(triple, terms=80):
+    """cosh(R) and sinh(R) - R as Taylor series of R, mpmath matrices at the working precision.
+
+    sinh(R) - R sums the terms from R^3 on, so it keeps digits of its own where R dominates.
+    """
+    rmat = mpmath.matrix(coupling_matrix(SqueezeParams(*triple)).tolist())
+    term, sums = rmat, [mpmath.eye(3), mpmath.zeros(3, 3)]
+    for k in range(2, terms):
+        term = term * rmat / k
+        sums[k % 2] += term
+    return sums[0], sums[1], rmat
+
+
 def cosh_sinh_mpmath(triple, terms=80):
-    """cosh(R) and sinh(R) as 60-digit Taylor series of R, each entry rounded once to a double."""
+    """cosh(R), sinh(R) and sinh(R) - R as 60-digit Taylor series of R, each entry rounded once."""
     with mpmath.workdps(60):
-        rmat = mpmath.matrix(coupling_matrix(SqueezeParams(*triple)).tolist())
-        term, sums = mpmath.eye(3), [mpmath.eye(3), mpmath.zeros(3, 3)]
-        for k in range(1, terms):
-            term = term * rmat / k
-            sums[k % 2] += term
-        return [np.array(m.tolist(), dtype=float) for m in sums]
+        cosh, sinh_minus_r, rmat = _series_mp(triple, terms)
+        return [np.array(m.tolist(), dtype=float) for m in (cosh, sinh_minus_r + rmat, sinh_minus_r)]
 
 
 @pytest.mark.parametrize("shape", [(1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 0.7, 0.4)])
 def test_table_keeps_its_digits_near_zero_coupling(shape):
     # cosh(R) - I is of order r^2, so c's off-diagonal entries must carry digits of
     # their own rather than eigh's round-off on the unit diagonal; that diagonal
-    # sits below c's 1e-16 resolution and is not held here, and r^2 stays normal
+    # sits below c's 1e-16 resolution and is not held here, and r^2 stays normal.
+    # Likewise sinh(R) - R is of order r^3, so where R vanishes, d = -(sinh(R) - R)
+    # must carry its digits; elsewhere d holds R's entries, and d + R only their
+    # rounding, which d_miss covers
     off = ~np.eye(3, dtype=bool)
     for r in (1e-150, 1e-34, 1e-8, 1e-3, 0.5, 2.0):
         triple = tuple(r * f for f in shape)
-        cosh, sinh = cosh_sinh_mpmath(triple)
+        cosh, sinh, sinh_minus_r = cosh_sinh_mpmath(triple)
         table = bogoliubov_coeffs(SqueezeParams(*triple))
         c_miss = np.abs(table.c - cosh)[off].max()
         assert c_miss <= 1e-13 * np.abs(cosh[off]).max(), (triple, c_miss)
         d_miss = np.abs(table.d + sinh).max()
         assert d_miss <= 1e-13 * np.abs(sinh).max(), (triple, d_miss)
+        rmat = coupling_matrix(SqueezeParams(*triple))
+        r_miss = np.abs(table.d + rmat + sinh_minus_r)[rmat == 0].max()
+        assert r_miss <= 1e-13 * np.abs(sinh_minus_r).max(), (triple, r_miss)
 
 
 def test_tiny_coupling_keeps_photon_correlation_nonnegative():
     # the exact <n_1 n_2> is positive and underflows, so round-off in c must not make it negative
     coeffs = bogoliubov_coeffs(SqueezeParams(1.2439552499366604e-277, 1.2439552499366604e-277, 0.0))
     assert cross_correlation(coeffs, InputState.number(0, 0, 1), 1, 2) >= 0.0
+
+
+def test_tiny_path_coupling_keeps_intensity_digits():
+    # on the path graph (r, 0, r), sinh(R) vanishes on the diagonal and between modes 1
+    # and 3; round-off of order 1e-16 r there read <a1+2 a1^2> as 8e-100, not about 7 r^4
+    triple, alpha = (3.612587544597209e-34, 0.0, 3.612587544597209e-34), (0.0, 1.0, 1.0)
+    with mpmath.workdps(60):
+        cosh, sinh_minus_r, rmat = _series_mp(triple)
+        c = [cosh[0, k] for k in range(3)]
+        d = [-(sinh_minus_r[0, k] + rmat[0, k]) for k in range(3)]
+        # Gaussian moments of a coherent input with real amplitudes: mean mu and the
+        # vacuum's fluctuations <b+ b> = sum_k d_k^2 and <b b> = sum_k c_k d_k
+        mu = sum((c[k] + d[k]) * alpha[k] for k in range(3))
+        n, m = sum(x ** 2 for x in d), sum(x * y for x, y in zip(c, d))
+        exact = float(mu ** 4 + 2 * mu ** 2 * m + 4 * mu ** 2 * n + 2 * n ** 2 + m ** 2)
+    coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
+    value = intensity_correlation(coeffs, InputState.coherent(*alpha), 1)
+    assert abs(value - exact) <= 1e-12 * exact, (value, exact)
 
 
 @pytest.mark.parametrize("rows, message", [
