@@ -7,8 +7,8 @@ with the exact per-mode rule
 
     a^q a+^p = sum_k k! C(q,k) C(p,k) a+^(p-k) a^(q-k),
 
-so coefficients stay exact up to float rounding of the inputs.  Expectation
-values against product number/coherent states close the moment engine.
+so coefficients stay exact up to float rounding of the inputs.  ``expectation``
+takes a polynomial's value in a product of number and coherent modes.
 """
 
 from __future__ import annotations
