@@ -207,7 +207,7 @@ def test_table_rows_match_per_row_eigh(rng):
 
 
 def _series_mp(triple, terms=80):
-    """cosh(R) and sinh(R) - R as Taylor series of R, mpmath matrices at the working precision.
+    """(cosh(R), sinh(R) - R, R) as mpmath matrices, the first two Taylor series of R.
 
     sinh(R) - R sums the terms from R^3 on, so it keeps digits of its own where R dominates.
     """
