@@ -140,6 +140,10 @@ def valid_prefix(triples) -> int:
     return int(ok.argmin()) if not ok.all() else ok.size
 
 
+# 1/k! for odd k from 19 down to 3: the Taylor coefficients of (sinh(x) - x) / x^3 in x^2
+_SINH_REMAINDER = tuple(1.0 / math.factorial(k) for k in range(19, 2, -2))
+
+
 def bogoliubov_table(triples) -> BogoliubovCoeffs:
     """cosh/sinh of P coupling matrices via one stacked real symmetric eigendecomposition.
 
@@ -157,7 +161,7 @@ def bogoliubov_table(triples) -> BogoliubovCoeffs:
     c = np.eye(3) + (eigvecs * (2.0 * np.sinh(eigvals / 2.0) ** 2)[:, None, :]) @ vt
     # sinh(lambda) - lambda with digits of its own: below |lambda| = 1, where the two
     # cancel, its Taylor series to lambda^19 (truncation below 5e-17)
-    odd = np.polyval([1.0 / math.factorial(k) for k in range(19, 2, -2)], eigvals ** 2)
+    odd = np.polyval(_SINH_REMAINDER, eigvals ** 2)
     odd = np.where(np.abs(eigvals) < 1.0, eigvals ** 3 * odd, np.sinh(eigvals) - eigvals)
     d = -(rmat + (eigvecs * odd[:, None, :]) @ vt)
     return BogoliubovCoeffs(c=c, d=d, eigvals=eigvals, eigvecs=eigvecs)
