@@ -168,12 +168,28 @@ def _sweep_csv(args, header, row_format, evaluate):
 
 
 def _grid_csv(xs, ys, values):
-    """CSV of the rows (x_i, y_j, values[i, j]), each as %.17g: each axis value is
-    formatted once into a row template, and one %-format renders every w."""
-    tails = ["%.17g,%%.17g\n" % y for y in ys.tolist()]
+    """CSV of the rows (x_i, y_j, values[i, j]), each as %.17g.
+
+    Each axis value is formatted once into a one-template layout.  When no row
+    of ``values`` repeats, one %-format renders every w.  Otherwise each
+    distinct row's cells are formatted once and fill the template's %s slots
+    wherever the row recurs; on a mirrored axis an even W repeats row i as row
+    n-1-i.  Rows are keyed on their bytes, not on float ==, because -0.0 and
+    0.0 compare equal but print differently.
+    """
+    keys = [row.tobytes() for row in values]
+    texts = dict.fromkeys(keys)
+    w_slot = "%%.17g" if len(texts) == len(keys) else "%%s"
+    tails = [("%.17g," + w_slot + "\n") % y for y in ys.tolist()]
     heads = ["%.17g," % x for x in xs.tolist()]
     template = "".join(head + head.join(tails) for head in heads)
-    return "x,y,w\n" + template % tuple(values.reshape(-1).tolist())
+    if len(texts) == len(keys):
+        return "x,y,w\n" + template % tuple(values.reshape(-1).tolist())
+    row_format = "\x00".join(["%.17g"] * len(ys))
+    for i, key in enumerate(keys):
+        if texts[key] is None:
+            texts[key] = (row_format % tuple(values[i].tolist())).split("\x00")
+    return "x,y,w\n" + template % tuple(itertools.chain.from_iterable(map(texts.get, keys)))
 
 
 def _json_text(payload):
@@ -261,6 +277,12 @@ def cmd_wigner_grid(args):
     for flag, spec, axis in (("--x", args.x, xs), ("--y", args.y, ys)):
         if not np.isfinite(axis).all():
             raise UsageError(f"{flag}: sweep values must be finite, got {spec!r}")
+        if axis[0] == -axis[-1] != 0.0:
+            # a symmetric range as exact mirror images with 0 at an odd centre, which
+            # np.linspace misses by up to 1.5 ulp; even grid rows then repeat bit for bit
+            half = axis.size // 2
+            axis[-half:] = -axis[half - 1::-1]
+            axis[half:-half] = 0.0
 
     pattern = closed_form_slot(ns)  # closed forms where the pattern has one, else the series
     method, slot = ("closed", pattern[0]) if pattern is not None else ("numeric", None)

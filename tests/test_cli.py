@@ -241,6 +241,27 @@ def test_grid_writer_edge_values():
     assert cli._grid_csv(xs, ys, values.T.copy().T) == reference_grid_csv(xs, ys, values)
 
 
+def _grid_rows(kind):
+    rng = np.random.default_rng(20)
+    rows = rng.normal(size=(3, 4))
+    rows[0, 1] = 0.0
+    if kind == "distinct":
+        return np.vstack([rows, rng.normal(size=(2, 4))])
+    twins = rows[1::-1].copy()
+    if kind == "near-twins":  # each bitwise unequal to its mirror row; the -0.0 one still ==
+        twins[0, 3] = np.nextafter(twins[0, 3], np.inf)
+        twins[1, 1] = -0.0
+    return np.vstack([rows, twins])
+
+
+@pytest.mark.parametrize("kind", ["repeated", "distinct", "near-twins"])
+def test_grid_writer_formats_repeated_rows_like_reference(kind):
+    values = _grid_rows(kind)
+    xs, ys = np.linspace(-1.0, 1.0, 5), np.array([-0.5, 0.0, 0.25, 2.0])
+    assert cli._grid_csv(xs, ys, values) == reference_grid_csv(xs, ys, values)
+    assert cli._grid_csv(xs, ys, values.T.copy().T) == reference_grid_csv(xs, ys, values)
+
+
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -254,23 +275,57 @@ def test_grid_writer_matches_per_cell_reference(data, nx, ny):
     assert cli._grid_csv(xs, ys, values) == reference_grid_csv(xs, ys, values)
 
 
-@pytest.mark.parametrize("state, method", [("n=1,0,0", "closed"), ("n=1,1,0", "numeric")])
-def test_wigner_grid_csv_matches_per_cell_reference(tmp_path, state, method):
+def mirrored_axis(start, stop, count):
+    """np.linspace, with a symmetric range made of exact mirror images and 0 at an odd centre."""
+    axis = np.linspace(start, stop, count)
+    if start != -stop:
+        return axis
+    low = axis[: count // 2]
+    return np.concatenate([low, [0.0] * (count % 2), -low[::-1]])
+
+
+# (start, stop, count) of --x and --y; on the symmetric ranges np.linspace misses
+# the mirror in 10 (3.1, 13), 6 (1.3, 10) and 8 (2.9, 12) cells, and its centre of
+# the 13-point range is 4.4e-16
+_GRID_AXES = {
+    "": ((-3.0, 2.5, 13), (-1.7, 3.0, 9)),
+    "-mirrored-odd-x": ((-3.1, 3.1, 13), (-1.3, 1.3, 10)),
+    "-mirrored-even-x": ((-2.9, 2.9, 12), (-3.1, 3.1, 13)),
+}
+
+
+@pytest.mark.parametrize("state, method, axes", [
+    pytest.param(state, method, axes, id=f"{state}-{method}{tag}")
+    for state, method in (("n=1,0,0", "closed"), ("n=1,1,0", "numeric"))
+    for tag, axes in _GRID_AXES.items()
+])
+def test_wigner_grid_csv_matches_per_cell_reference(tmp_path, state, method, axes):
     from trisqueeze import SqueezeParams, bogoliubov_coeffs, wigner_closed, wigner_numeric
 
     out = tmp_path / "grid.csv"
+    (x0, x1, nx), (y0, y1, ny) = axes
     code = run_cli(["wigner-grid", "--r1", "0.3", "--r2", "0.2", "--r3", "0.1", "--state", state,
-                    "--s", "-1", "--x=-3:2.5:13", "--y=-1.7:3:9", "--out", str(out)])
+                    "--s", "-1", f"--x={x0}:{x1}:{nx}", f"--y={y0}:{y1}:{ny}", "--out", str(out)])
     assert code == 0
     coeffs = bogoliubov_coeffs(SqueezeParams(0.3, 0.2, 0.1))
     ns = tuple(int(n) for n in state[2:].split(","))
-    xs, ys = np.linspace(-3, 2.5, 13), np.linspace(-1.7, 3, 9)
+    xs, ys = mirrored_axis(*axes[0]), mirrored_axis(*axes[1])
     if method == "closed":
         values = wigner_closed(coeffs, ns, xs[:, None] + 1j * ys[None, :], -1)
     else:
         values = wigner_numeric(coeffs, ns, xs, ys, -1)
-    assert out.read_text() == reference_grid_csv(xs, ys, values)
+    text = out.read_text()
+    assert text == reference_grid_csv(xs, ys, values)
     assert json.loads((tmp_path / "grid.aux.json").read_text())["method"] == method
+
+    _, rows = read_csv(out)
+    cells = {"x": [row[0] for row in rows[::ny]], "y": [row[1] for row in rows[:ny]]}
+    for (start, stop, count), name in zip(axes, "xy"):
+        axis = [float(v) for v in cells[name]]
+        if start == -stop:
+            assert all(axis[count - 1 - i] == -axis[i] for i in range(count))
+            if count % 2:
+                assert cells[name][count // 2] == "0"
 
 
 def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
