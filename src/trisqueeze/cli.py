@@ -179,11 +179,11 @@ def _grid_csv(xs, ys, values):
     """
     keys = [row.tobytes() for row in values]
     texts = dict.fromkeys(keys)
-    w_slot = "%%.17g" if len(texts) == len(keys) else "%%s"
-    tails = [("%.17g," + w_slot + "\n") % y for y in ys.tolist()]
+    repeats = len(texts) < len(keys)
+    tails = [("%.17g," + ("%%s" if repeats else "%%.17g") + "\n") % y for y in ys.tolist()]
     heads = ["%.17g," % x for x in xs.tolist()]
     template = "".join(head + head.join(tails) for head in heads)
-    if len(texts) == len(keys):
+    if not repeats:
         return "x,y,w\n" + template % tuple(values.reshape(-1).tolist())
     row_format = "\x00".join(["%.17g"] * len(ys))
     for i, key in enumerate(keys):
@@ -279,7 +279,8 @@ def cmd_wigner_grid(args):
             raise UsageError(f"{flag}: sweep values must be finite, got {spec!r}")
         if axis[0] == -axis[-1] != 0.0:
             # a symmetric range as exact mirror images with 0 at an odd centre, which
-            # np.linspace misses by up to 1.5 ulp; even grid rows then repeat bit for bit
+            # np.linspace misses by up to 1.5 ulp of the range's end; the rows of an
+            # even W then repeat bit for bit
             half = axis.size // 2
             axis[-half:] = -axis[half - 1::-1]
             axis[half:-half] = 0.0
