@@ -170,26 +170,22 @@ def _sweep_csv(args, header, row_format, evaluate):
 def _grid_csv(xs, ys, values):
     """CSV of the rows (x_i, y_j, values[i, j]), each as %.17g.
 
-    Each axis value is formatted once into a one-template layout.  When no row
-    of ``values`` repeats, one %-format renders every w.  Otherwise each
-    distinct row's cells are formatted once and fill the template's %s slots
-    wherever the row recurs; on a mirrored axis an even W repeats row i as row
-    n-1-i.  Rows are keyed on their bytes, not on float ==, because -0.0 and
-    0.0 compare equal but print differently.
+    Each distinct row of ``values`` is formatted once, with its y cells, into a
+    body that marks each line start with a NUL; each grid row is that body with
+    its formatted x in place of the NULs.  On a mirrored axis an even W is
+    expected to repeat row i as row n-1-i, which halves the formatting.  Rows
+    are keyed on their bytes, not on float ==, because -0.0 and 0.0 compare
+    equal but print differently.
     """
     keys = [row.tobytes() for row in values]
-    texts = dict.fromkeys(keys)
-    repeats = len(texts) < len(keys)
-    tails = [("%.17g," + ("%%s" if repeats else "%%.17g") + "\n") % y for y in ys.tolist()]
-    heads = ["%.17g," % x for x in xs.tolist()]
-    template = "".join(head + head.join(tails) for head in heads)
-    if not repeats:
-        return "x,y,w\n" + template % tuple(values.reshape(-1).tolist())
-    row_format = "\x00".join(["%.17g"] * len(ys))
+    bodies = dict.fromkeys(keys)
+    row_format = "\x00" + "\x00".join(["%.17g,%%.17g\n" % y for y in ys.tolist()])
     for i, key in enumerate(keys):
-        if texts[key] is None:
-            texts[key] = (row_format % tuple(values[i].tolist())).split("\x00")
-    return "x,y,w\n" + template % tuple(itertools.chain.from_iterable(map(texts.get, keys)))
+        if bodies[key] is None:
+            bodies[key] = row_format % tuple(values[i].tolist())
+    heads = ["%.17g," % x for x in xs.tolist()]
+    return "x,y,w\n" + "".join([bodies[key].replace("\x00", head)
+                                for head, key in zip(heads, keys)])
 
 
 def _json_text(payload):
