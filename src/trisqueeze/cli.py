@@ -276,7 +276,7 @@ def cmd_wigner_grid(args):
         if axis[0] == -axis[-1] != 0.0:
             # a symmetric range as exact mirror images with 0 at an odd centre, which
             # np.linspace misses by up to 1.5 ulp of the range's end; the rows of an
-            # even W then repeat bit for bit
+            # even W are then expected to repeat, which _grid_csv checks row by row
             half = axis.size // 2
             axis[-half:] = -axis[half - 1::-1]
             axis[half:-half] = 0.0
