@@ -294,10 +294,6 @@ def cmd_wigner_grid(args):
     payload = _grid_metadata(xs, ys, args.s)
     payload["method"] = method
     payload["aux"] = dataclasses.asdict(wigner_aux(coeffs, args.s, slot=slot))
-    if args.format == "json":
-        payload["values"] = values.reshape(-1).tolist()
-        _emit(args, _json_text(payload))
-        return
     _emit(args, _grid_csv(xs, ys, values))
     out = _resolve_out(args.out)
     sidecar = out.with_suffix(".aux.json")
@@ -361,7 +357,6 @@ def build_parser():
     sub.add_argument("--s", type=int, choices=(-1, 0), default=0)
     sub.add_argument("--x", default="-4:4:101")
     sub.add_argument("--y", default="-4:4:101")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out")
     sub.set_defaults(func=cmd_wigner_grid)
 

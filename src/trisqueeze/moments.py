@@ -173,13 +173,11 @@ def _input_moments(state):
 def quadrature_variances(coeffs, sel, state):
     """(<dX^2>, <dY^2>) from the input quadrature variances sigma_k = (2 n_k + 1)/4.
 
-    The weights w are projected on the eigenvectors first, so exp(-+R) w holds
-    no cancelling exp(+-r)-sized entries and each variance sums positive terms.
+    The rows exp(-+R) w come from the eigenpairs, so each variance sums
+    positive terms that carry their own relative digits.
     """
     sigma = (2 * _input_moments(state)[0] + 1) / 4
-    vecs, projected = coeffs.eigvecs, np.asarray(sel.weights) @ coeffs.eigvecs
-    rows = [vecs @ (np.exp(sign * coeffs.eigvals) * projected)[..., None] for sign in (-1.0, 1.0)]
-    return tuple((sigma * row[..., 0] ** 2).sum(axis=-1) for row in rows)
+    return tuple((sigma * row ** 2).sum(axis=-1) for row in coeffs.quadrature_rows(sel.weights))
 
 
 def squeezing(coeffs: BogoliubovCoeffs, sel: QuadratureSelector, state: InputState):

@@ -6,7 +6,8 @@ v1 = zeta*f1 - conj(zeta)*f2 (and g, h analogues).  Writing zeta = u + i*v,
 
     |C(zeta, s)| = exp(-u^2*tm - v^2*tp) * prod_j L_{n_j}(u^2*Am_j + v^2*Ap_j),
 
-with tp/tm the s-shifted quadrature widths and A+- = (coef sums)^2.  The
+with tp/tm the s-shifted quadrature widths and A+- the squared eigenpair
+quadrature rows exp(-+R) e1 (``BogoliubovCoeffs.quadrature_rows``).  The
 Fourier transform W(z, s) is evaluated two ways, both exact: a closed Laguerre
 sum for vacuum or a single excited slot (mode 1 or mode 3), and a Hermite
 series for every pattern with n_j <= NUMERIC_N_MAX (``wigner_numeric``).  Both
@@ -86,26 +87,25 @@ def _scaled_half_laguerre(k, eta, c):
 def char_fn(coeffs: BogoliubovCoeffs, ns, zeta, s: int):
     """Mode-1 characteristic function for number-state input (n1, n2, n3).
 
-    C(zeta, s) = exp[-(|v1|^2+|v2|^2+|v3|^2)/2 + s|zeta|^2/2]
-                 * L_{n1}(|v1|^2) L_{n2}(|v2|^2) L_{n3}(|v3|^2),
-    real-valued because the transform coefficients are real.  A stack of P
-    triples gives values of shape (P,) + zeta.shape.
+    C(zeta, s) = exp(-u^2 tm - v^2 tp) L_{n1}(|v1|^2) L_{n2}(|v2|^2) L_{n3}(|v3|^2)
+    with zeta = u + iv and |v_j|^2 = u^2 Am_j + v^2 Ap_j, real-valued because the
+    transform coefficients are real.  A stack of P triples gives values of shape
+    (P,) + zeta.shape.
     """
     s = _check_ordering(s)
-    n1, n2, n3 = _occupations(ns)
+    ns = _occupations(ns)
     zeta = np.asarray(zeta, dtype=complex)
     # a scalar takes the array path too: numpy scalar arithmetic can miss the stacked row by an ulp
     point = zeta.ndim == 0
     zeta = np.atleast_1d(zeta)
-    f1, f2, g1, g2, h1, h2 = _against(zeta, *coeffs.mode_row(1))
-    out, total = 1.0, 0.0
-    for (c1_, c2_), n in (((f1, f2), n1), ((g1, g2), n2), ((h1, h2), n3)):
-        v = zeta * c1_ - np.conj(zeta) * c2_
-        mag2 = (v * np.conj(v)).real
-        total = total + mag2
+    aux, a_plus, a_minus = _kernel(coeffs, s)
+    u2, v2 = zeta.real ** 2, zeta.imag ** 2
+    tp, tm = _against(zeta, aux.theta_plus, aux.theta_minus)
+    out = np.exp(-u2 * tm - v2 * tp)
+    for k, n in enumerate(ns):
         if n:
-            out = out * laguerre(n, 0.0, mag2)
-    out = out * np.exp(-0.5 * total + 0.5 * s * (zeta * np.conj(zeta)).real)
+            ap, am = _against(zeta, a_plus[..., k], a_minus[..., k])
+            out = out * laguerre(n, 0.0, u2 * am + v2 * ap)
     if point:
         out = out[..., 0]
     return out if out.ndim else float(out)
@@ -138,36 +138,33 @@ def _against(z, *params):
     return [p if np.ndim(p) == 0 else np.reshape(p, np.shape(p) + (1,) * z.ndim) for p in params]
 
 
+# input slot of each closed form's excited mode
+_SLOTS = {"mode1": 0, "mode3": 2}
+
+
+def _kernel(coeffs, s, slot=None):
+    """(WignerAux, A+, A-): A+- are the squared mode-1 quadrature rows exp(-+R) e1, (..., 3)."""
+    if slot is not None and slot not in _SLOTS:
+        raise ValueError(f"slot must be 'mode1', 'mode3' or None, got {slot!r}")
+    a_plus, a_minus = (row * row for row in coeffs.quadrature_rows((1.0, 0.0, 0.0)))
+    theta_plus = 0.5 * (a_plus.sum(axis=-1) - s)
+    theta_minus = 0.5 * (a_minus.sum(axis=-1) - s)
+    eta_plus = eta_minus = None
+    if slot is not None:
+        eta_plus = a_plus[..., _SLOTS[slot]] - theta_plus
+        eta_minus = a_minus[..., _SLOTS[slot]] - theta_minus
+    lambda1 = theta_plus + theta_minus + s
+    lambda2 = 0.5 * (theta_plus - theta_minus)
+    b = 0.5 * (lambda1 - s)
+    aux = WignerAux(lambda1=lambda1, lambda2=lambda2, b=b, kernel_det=b * b - lambda2 * lambda2,
+                    theta_plus=theta_plus, theta_minus=theta_minus, eta_plus=eta_plus,
+                    eta_minus=eta_minus, s=s, slot=slot)
+    return aux, a_plus, a_minus
+
+
 def wigner_aux(coeffs: BogoliubovCoeffs, s: int, slot: str | None = None) -> WignerAux:
     """Kernel parameters of one coefficient set; (P,) array fields for a stack of P triples."""
-    s = _check_ordering(s)
-    f1, f2, g1, g2, h1, h2 = coeffs.mode_row(1)
-    lambda1 = f1 * f1 + f2 * f2 + g1 * g1 + g2 * g2 + h1 * h1 + h2 * h2
-    lambda2 = f1 * f2 + g1 * g2 + h1 * h2
-    b = 0.5 * (lambda1 - s)
-    theta_plus = b + lambda2
-    theta_minus = b - lambda2
-    # x * x, not x ** 2: numpy scalars square through C pow, which can miss the stacked row by an ulp
-    if slot is None:
-        eta_plus = eta_minus = None
-    elif slot in ("mode1", "mode3"):
-        c, d = (h1, h2) if slot == "mode3" else (f1, f2)
-        eta_plus = (c + d) * (c + d) - theta_plus
-        eta_minus = (c - d) * (c - d) - theta_minus
-    else:
-        raise ValueError(f"slot must be 'mode1', 'mode3' or None, got {slot!r}")
-    return WignerAux(
-        lambda1=lambda1,
-        lambda2=lambda2,
-        b=b,
-        kernel_det=b * b - lambda2 * lambda2,
-        theta_plus=theta_plus,
-        theta_minus=theta_minus,
-        eta_plus=eta_plus,
-        eta_minus=eta_minus,
-        s=s,
-        slot=slot,
-    )
+    return _kernel(coeffs, _check_ordering(s), slot)[0]
 
 
 def wigner_vacuum(coeffs: BogoliubovCoeffs, z, s: int):
@@ -193,7 +190,7 @@ def wigner_excited(coeffs: BogoliubovCoeffs, n: int, slot: str, z, s: int):
         W = (-1)^n / (pi sqrt(tp tm)) exp(-x^2/tp - y^2/tm)
             * sum_m t_m(em/tm, Am y^2/tm^2) t_{n-m}(ep/tp, Ap x^2/tp^2),
 
-    with Ap/Am the squared coefficient sums of the slot, ep/em = A - theta the
+    with Ap/Am the slot's squared quadrature-row entries, ep/em = A - theta the
     excitation corrections and t_k the homogenized half-integer Laguerre
     polynomials.  At zero coupling this reduces to the vacuum Gaussian for
     slot="mode3" and to the bare number-state distribution for slot="mode1".
@@ -203,13 +200,12 @@ def wigner_excited(coeffs: BogoliubovCoeffs, n: int, slot: str, z, s: int):
     if n > EXCITED_N_MAX:
         raise ValueError(f"n = {n} exceeds the closed-form guard {EXCITED_N_MAX}")
     s = _check_ordering(s, allowed=(-1, 0))
-    aux = wigner_aux(coeffs, s, slot=slot)
-    f1, f2, _, _, h1, h2 = coeffs.mode_row(1)
-    c, d = (h1, h2) if slot == "mode3" else (f1, f2)
+    aux, a_plus, a_minus = _kernel(coeffs, s, slot)
+    j = _SLOTS[slot]
     z = np.asarray(z, dtype=complex)
     tp, tm, eta_plus, eta_minus, a_plus, a_minus = _against(
         z, aux.theta_plus, aux.theta_minus, aux.eta_plus, aux.eta_minus,
-        (c + d) * (c + d), (c - d) * (c - d),
+        a_plus[..., j], a_minus[..., j],
     )
     x2 = z.real ** 2
     y2 = z.imag ** 2
@@ -339,15 +335,15 @@ def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
         raise ValueError("xs and ys must be non-empty 1-d arrays")
-    aux = wigner_aux(coeffs, s)
+    aux, a_plus, a_minus = _kernel(coeffs, s)
     theta_plus = np.reshape(aux.theta_plus, (-1, 1, 1))
     theta_minus = np.reshape(aux.theta_minus, (-1, 1, 1))
     degree = sum(ns)
     w, projector = _hermite_projector(degree)
     char = np.ones((theta_plus.shape[0], w.size, w.size))
-    for (c, d), n in zip(np.reshape(coeffs.mode_row(1), (3, 2, -1, 1, 1)), ns):
-        char = char * laguerre(n, 0.0, (c - d) ** 2 / theta_minus * w[:, None]
-                               + (c + d) ** 2 / theta_plus * w)
+    for k, n in enumerate(ns):
+        ap, am = (np.reshape(a[..., k], (-1, 1, 1)) for a in (a_plus, a_minus))
+        char = char * laguerre(n, 0.0, am / theta_minus * w[:, None] + ap / theta_plus * w)
     core = projector.T @ char @ projector
 
     gx = _fourier_factors(xs, theta_plus[:, 0], degree)

@@ -133,6 +133,16 @@ class BogoliubovCoeffs:
         j = _mode_index(mode)
         return tuple(m[..., j, k][()] for k in range(3) for m in (self.c, self.d))
 
+    def quadrature_rows(self, weights):
+        """(exp(-R) w, exp(+R) w) of input weights w: (3,) arrays, (P, 3) for a stack.
+
+        Read through the eigenpairs, never as c + d and c - d: at large r those
+        sums cancel cosh(r)-sized entries and keep only absolute digits.
+        """
+        projected = np.asarray(weights) @ self.eigvecs
+        return tuple((self.eigvecs @ (np.exp(sign * self.eigvals) * projected)[..., None])[..., 0]
+                     for sign in (-1.0, 1.0))
+
 
 def valid_prefix(triples) -> int:
     """Number of leading (r1, r2, r3) rows that SqueezeParams accepts."""

@@ -433,3 +433,31 @@ def test_c13_asymmetric_couplings_beat_the_symmetric_one():
     for label, ok, detail in results:
         print(f"ACCEPTANCE 13 ({label}): {'PASS' if ok else 'FAIL'} - {detail}")
     assert all(ok for _, ok, _ in results), results
+
+
+# mode-1 W(0, y) on the (0.6, 0.8, r3) line of test_c10: y in [0, 8] at 4,001 points,
+# r3 in steps of 0.01; n3 -> (first two-lobed r3, W(0)/W_max at r3 = 2.0)
+_CAT_YS = np.linspace(0.0, 8.0, 4001)
+_CAT_R3 = np.linspace(0.0, 2.0, 201)
+_CAT_SIGNATURES = {1: (0.40, 0.832), 2: (0.0, 0.480), 3: (0.0, 0.266)}
+
+
+def test_c14_number_inputs_give_two_lobed_cat_like_states():
+    # the abstract: the system generates different types of Schroedinger-cat states.
+    # Read here as a signature of the mode-1 W of the input (0, 0, n3): two lobes at
+    # +-y_max (the maximum along x = 0 lies off the origin) around a positive dip
+    # W(0)/W_max, whose depth names the type
+    table = bogoliubov_table([(0.6, 0.8, r3) for r3 in _CAT_R3])
+    ok, parts = True, []
+    for n3, (onset, dip) in _CAT_SIGNATURES.items():
+        ns = (0, 0, n3)
+        for name, grid in (("closed", wigner_closed(table, ns, 1j * _CAT_YS, 0)),
+                           ("series", wigner_numeric(table, ns, [0.0], _CAT_YS, 0)[:, 0])):
+            two_lobed = grid.argmax(axis=1) > 0
+            first = float(_CAT_R3[two_lobed.argmax()])
+            got = grid[-1, 0] / grid[-1].max()
+            ok = (ok and (two_lobed == (_CAT_R3 > onset - 0.005)).all()
+                  and abs(got - dip) < 5e-4 and grid.min() >= 0.0)
+            parts.append(f"n3={n3} {name}: two-lobed from r3 = {first:.2f}, W(0)/W_max "
+                         f"{got:.3f} at y_max = {_CAT_YS[grid[-1].argmax()]:.2f}")
+    report(14, ok, "; ".join(parts))

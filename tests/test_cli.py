@@ -201,22 +201,6 @@ def test_wigner_grid_sidecar_bytes(tmp_path, state, slot, method):
     assert (tmp_path / "grid.aux.json").read_bytes() == text.encode("utf-8")
 
 
-def test_wigner_grid_json_format(tmp_path):
-    out = tmp_path / "grid.json"
-    code = run_cli([
-        "wigner-grid", "--r", "0.5", "--state", "n=0,0,0",
-        "--x=-1:1:5", "--y=-1:1:3", "--format", "json", "--out", str(out),
-    ])
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert len(payload["values"]) == 5 * 3
-    # row-major over (x, y): x index 2 is x=0, y index 2 is y=1
-    from trisqueeze import bogoliubov_coeffs, wigner_vacuum, SqueezeParams
-
-    coeffs = bogoliubov_coeffs(SqueezeParams.symmetric(0.5))
-    assert payload["values"][2 * 3 + 2] == pytest.approx(wigner_vacuum(coeffs, 0.0 + 1.0j, 0))
-
-
 def reference_grid_csv(xs, ys, values):
     """The grid writer it replaced: one _fmt call per cell, rows joined one by one."""
     rows = [
@@ -329,17 +313,15 @@ def test_wigner_grid_csv_matches_per_cell_reference(tmp_path, state, method, axe
 
 
 def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
-    # one process: explicit s, default s, json, s=0, two usage errors, then valid calls
+    # one process: explicit s, default s, s=0, two usage errors, then a valid call
     grid = ["wigner-grid", "--r", "0.3", "--state", "n=0,0,1", "--x=-1:1:5", "--y=-1:1:4"]
     missing_out = ["wigner-grid", "--r", "0.3", "--state", "n=0,0,1"]
     sequence = [
         grid + ["--s", "-1"],
         grid,
-        grid + ["--format", "json"],
         grid + ["--s", "0"],
         grid + ["--s", "2"],
         missing_out,
-        grid + ["--s", "-1", "--format", "json"],
         grid,
     ]
 
@@ -359,7 +341,7 @@ def test_reused_parser_matches_fresh_parser(tmp_path, monkeypatch, capsys):
 
     assert cli.build_parser() is cli.build_parser()
     reused = run_sequence("reused")
-    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, 2, 0, 0]
+    assert [r[0] for r in reused] == [0, 0, 0, 2, 2, 0]
     assert reused[0][3] != reused[1][3]  # the sidecar records s
     assert reused[1][2:] == reused[-1][2:]
     monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
@@ -555,7 +537,7 @@ _SUBCOMMAND_FLAGS = {
     "squeeze-sweep": {"--c1", "--c2", "--state", "--out"},
     "g2-sweep": {"--state", "--mode", "--out"},
     "cs-sweep": {"--state", "--j", "--k", "--out"},
-    "wigner-grid": {"--state", "--s", "--x", "--y", "--format", "--out"},
+    "wigner-grid": {"--state", "--s", "--x", "--y", "--out"},
     "origin-sweep": {"--state", "--s", "--out"},
     "oracle-verify": {"--state", "--cutoff", "--out"},
 }

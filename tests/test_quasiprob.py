@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -26,6 +27,7 @@ from trisqueeze.symplectic import (
     SqueezeParams,
     bogoliubov_coeffs,
     bogoliubov_table,
+    coupling_matrix,
 )
 
 from reference_quasiprob import riemann_sum, suggest_half_width, wigner_mpmath
@@ -130,13 +132,52 @@ def test_char_fn_stack_rows_equal_one_triple_calls(rng, ns, s):
         assert point == at_point[p]
 
 
-def test_wigner_aux_theta_matches_quadrature_variances():
-    coeffs = bogoliubov_coeffs(SqueezeParams(0.6, 0.8, 0.9))
-    var_x, var_y = quadrature_variances(coeffs, QuadratureSelector(0, 0), InputState.vacuum())
-    for s in (-1, 0, 1):
-        aux = wigner_aux(coeffs, s)
-        assert aux.theta_plus == pytest.approx(2 * var_x - s / 2, abs=1e-12)
-        assert aux.theta_minus == pytest.approx(2 * var_y - s / 2, abs=1e-12)
+def test_wigner_aux_theta_matches_quadrature_variances(rng):
+    # both read the eigenpair rows exp(-+R) e1, and the factors 1/4, 2 and 1/2 are exact
+    triples = rng.uniform(-10.0, 10.0, (500, 3))
+    sel, vacuum = QuadratureSelector(0, 0), InputState.vacuum()
+    cases = [bogoliubov_table(triples)]
+    cases += [bogoliubov_coeffs(SqueezeParams(*triple)) for triple in triples]
+    for coeffs in cases:
+        var_x, var_y = quadrature_variances(coeffs, sel, vacuum)
+        for s in (-1, 0, 1):
+            aux = wigner_aux(coeffs, s)
+            assert np.array_equal(aux.theta_plus, 2 * var_x - s / 2)
+            assert np.array_equal(aux.theta_minus, 2 * var_y - s / 2)
+
+
+def _kernel_mpmath(triple, s, slot, dps=80):
+    """(theta+, theta-, eta+, eta-, W(0) of one photon in the slot, the Gaussian peak)
+    from the rows of exp(-+R) in ``dps``-digit arithmetic."""
+    with mpmath.workdps(dps):
+        rmat = mpmath.matrix(coupling_matrix(SqueezeParams(*triple)).tolist())
+        a_plus, a_minus = ([mpmath.expm(sign * rmat)[k, 0] ** 2 for k in range(3)]
+                           for sign in (-1, 1))
+        tp, tm = (sum(a_plus) - s) / 2, (sum(a_minus) - s) / 2
+        j = {"mode1": 0, "mode3": 2}[slot]
+        ep, em = a_plus[j] - tp, a_minus[j] - tm
+        peak = 1 / (mpmath.pi * mpmath.sqrt(tp * tm))
+        # the degree-one Laguerre sum at z = 0: t_1(eta, 0) = eta / 2
+        return tp, tm, ep, em, -peak * (ep / tp + em / tm) / 2, peak
+
+
+@pytest.mark.parametrize("r", [4.0, 6.0, 8.0, 10.0])
+def test_kernel_matches_mpmath_exponentials_at_strong_coupling(r):
+    # the c +- d sums of the exp(r)-sized tables kept 3.9e-9 of W(0) of (0,0,1) at r = 10
+    for triple in ((r, r, r), (0.6, 0.8, r)):
+        coeffs = bogoliubov_coeffs(SqueezeParams(*triple))
+        for s in (0, -1):
+            for slot, ns in (("mode1", (1, 0, 0)), ("mode3", (0, 0, 1))):
+                *kernel, origin, peak = _kernel_mpmath(triple, s, slot)
+                aux = wigner_aux(coeffs, s, slot)
+                got = (aux.theta_plus, aux.theta_minus, aux.eta_plus, aux.eta_minus)
+                for value, want in zip(got, kernel):
+                    assert abs(value - want) <= 1e-13 * abs(want), (triple, s, slot)
+                # W(0) in units of the Gaussian peak: on the symmetric line (1,0,0) falls
+                # to 2e-13 of it by r = 10, as its two eta/theta terms cancel
+                for value in (wigner_excited(coeffs, 1, slot, 0j, s),
+                              wigner_numeric(coeffs, ns, [0.0], [0.0], s)[0, 0]):
+                    assert abs(value - origin) <= 1e-13 * peak, (triple, s, slot)
 
 
 def test_wigner_aux_kernel_identity_and_floor():
