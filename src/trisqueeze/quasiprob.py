@@ -38,6 +38,10 @@ EXCITED_N_MAX = 20
 NUMERIC_N_MAX = 6
 ORDERING_VALUES = (-1, 0, 1)
 
+# precision of the series' Hermite projection: the x87 64-bit mantissa on x86-64
+# Linux, plain double where the platform has no wider float
+_EXTENDED = np.longdouble
+
 
 class PFunctionSingularError(ValueError):
     """Raised when the normally ordered distribution has no function form."""
@@ -54,7 +58,8 @@ def laguerre(k: int, gamma: float, x):
 
     Stable for the moderate degrees used here (k <= 60); the alternating
     factorial sum cancels catastrophically for large x and is kept only as a
-    test-side reference.
+    test-side reference.  Evaluated in double, or in long double for a long
+    double x.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError("degree k must be a nonnegative integer")
@@ -62,7 +67,8 @@ def laguerre(k: int, gamma: float, x):
         raise ValueError(f"degree k = {k} exceeds the stability guard {LAGUERRE_K_MAX}")
     if gamma <= -1.0:
         raise ValueError("gamma must exceed -1")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x)
+    x = x.astype(_EXTENDED if x.dtype == _EXTENDED else float)
     prev = np.ones_like(x)
     if k == 0:
         return prev if prev.ndim else float(prev)
@@ -142,11 +148,14 @@ def _against(z, *params):
 _SLOTS = {"mode1": 0, "mode3": 2}
 
 
-def _kernel(coeffs, s, slot=None):
-    """(WignerAux, A+, A-): A+- are the squared mode-1 quadrature rows exp(-+R) e1, (..., 3)."""
+def _kernel(coeffs, s, slot=None, dtype=float):
+    """(WignerAux, A+, A-): A+- are the squared mode-1 quadrature rows exp(-+R) e1, (..., 3).
+
+    The rows are squared, and the kernel derived from them, in ``dtype``.
+    """
     if slot is not None and slot not in _SLOTS:
         raise ValueError(f"slot must be 'mode1', 'mode3' or None, got {slot!r}")
-    a_plus, a_minus = (row * row for row in coeffs.quadrature_rows((1.0, 0.0, 0.0)))
+    a_plus, a_minus = (np.asarray(row, dtype) ** 2 for row in coeffs.quadrature_rows((1.0, 0.0, 0.0)))
     theta_plus = 0.5 * (a_plus.sum(axis=-1) - s)
     theta_minus = 0.5 * (a_minus.sum(axis=-1) - s)
     eta_plus = eta_minus = None
@@ -283,22 +292,36 @@ def _occupations(ns):
 
 
 def _hermite(m_max, t):
-    """(..., m_max + 1) orthonormal Hermite polynomials h_m(t) (weight exp(-t^2)), by recurrence."""
-    out = [np.full_like(t, math.pi ** -0.25)]
-    out.append(math.sqrt(2.0) * t * out[0])
+    """(..., m_max + 1) orthonormal Hermite polynomials h_m(t) (weight exp(-t^2)), by recurrence,
+    in the precision of the float array t."""
+    real = t.dtype.type
+    two = real(2.0)
+    out = [np.full_like(t, np.arccos(real(-1.0)) ** real(-0.25))]
+    out.append(np.sqrt(two) * t * out[0])
     for m in range(1, m_max):
-        out.append(math.sqrt(2.0 / (m + 1)) * t * out[-1] - math.sqrt(m / (m + 1)) * out[-2])
+        out.append(np.sqrt(two / (m + 1)) * t * out[-1] - np.sqrt(real(m) / (m + 1)) * out[-2])
     return np.stack(out[:m_max + 1], axis=-1)
 
 
 @functools.cache
 def _hermite_projector(degree):
-    """Read-only (w, G): w = t_q^2/2 at the (2 degree + 1) Gauss-Hermite nodes t_q and
-    G[q, k] = weight_q h_2k(t_q), so sum_q p(w_q) G[q, k] is the exact h_2k(t)
-    coefficient of any polynomial p of ``degree`` in w."""
-    nodes, weights = np.polynomial.hermite.hermgauss(2 * degree + 1)
+    """Read-only long double (w, G): w = t_q^2/2 at the (2 degree + 1) Gauss-Hermite nodes t_q
+    and G[q, k] = weight_q h_2k(t_q), so sum_q p(w_q) G[q, k] is the exact h_2k(t)
+    coefficient of any polynomial p of ``degree`` in w.
+
+    numpy's double nodes are polished by Newton steps on h_count (h_count' =
+    sqrt(2 count) h_(count-1)), and the weights are the Christoffel numbers
+    1 / sum_(m < count) h_m(t_q)^2, so the quadrature is exact to long double.
+    """
+    count = 2 * degree + 1
+    nodes = np.polynomial.hermite.hermgauss(count)[0].astype(_EXTENDED)
+    for _ in range(2):
+        h = _hermite(count, nodes)
+        nodes = nodes - h[:, count] / (np.sqrt(_EXTENDED(2 * count)) * h[:, count - 1])
+    h = _hermite(count, nodes)
+    weights = 1.0 / np.sum(h[:, :count] ** 2, axis=1)
     w = nodes * nodes / 2.0
-    projector = weights[:, None] * _hermite(2 * degree, nodes)[:, 0::2]
+    projector = weights[:, None] * h[:, 0:count:2]
     w.flags.writeable = projector.flags.writeable = False
     return w, projector
 
@@ -323,9 +346,14 @@ def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
         W(x + iy) = sum_kl M[k, l] (-1)^(k+l) phi_2k(y sqrt(2/tm)) phi_2l(x sqrt(2/tp))
                     / (pi sqrt(tp tm)).
 
-    The phi_m are bounded and orthonormal, so the sum does not cancel.  xs and
-    ys are non-empty 1-d axes; one point each gives a single phase-space value.
-    Returns (nx, ny) values, or (P, nx, ny) for a stack of P triples.
+    The phi_m are bounded and orthonormal, so the sum does not cancel.  M is
+    projected in long double and rounded to double once: in double, the
+    quadrature leaves 1e-16 of noise in coefficients that vanish, such as the
+    high orders of a weak coupling, and the phi_m of a wide grid return that
+    noise as 1e-16 of absolute error where W itself may be 1e-4 of its peak.
+    xs and ys are non-empty 1-d axes; one point each gives a single
+    phase-space value.  Returns (nx, ny) values, or (P, nx, ny) for a stack of
+    P triples.
     """
     s = _check_ordering(s, allowed=(-1, 0))
     ns = _occupations(ns)
@@ -335,17 +363,18 @@ def wigner_numeric(coeffs: BogoliubovCoeffs, ns, xs, ys, s: int):
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 1 or ys.ndim != 1 or xs.size == 0 or ys.size == 0:
         raise ValueError("xs and ys must be non-empty 1-d arrays")
-    aux, a_plus, a_minus = _kernel(coeffs, s)
+    aux, a_plus, a_minus = _kernel(coeffs, s, dtype=_EXTENDED)
     theta_plus = np.reshape(aux.theta_plus, (-1, 1, 1))
     theta_minus = np.reshape(aux.theta_minus, (-1, 1, 1))
     degree = sum(ns)
     w, projector = _hermite_projector(degree)
-    char = np.ones((theta_plus.shape[0], w.size, w.size))
+    char = np.ones((theta_plus.shape[0], w.size, w.size), dtype=_EXTENDED)
     for k, n in enumerate(ns):
         ap, am = (np.reshape(a[..., k], (-1, 1, 1)) for a in (a_plus, a_minus))
         char = char * laguerre(n, 0.0, am / theta_minus * w[:, None] + ap / theta_plus * w)
-    core = projector.T @ char @ projector
+    core = (projector.T @ char @ projector).astype(float)
 
+    theta_plus, theta_minus = theta_plus.astype(float), theta_minus.astype(float)
     gx = _fourier_factors(xs, theta_plus[:, 0], degree)
     gy = _fourier_factors(ys, theta_minus[:, 0], degree)
     scale = 1.0 / (math.pi * np.sqrt(theta_plus * theta_minus))

@@ -16,7 +16,9 @@ R = 0, cosh(R) - I is of order r^2 while eigh's round-off on c's unit diagonal
 is of order 1e-16, so c is built as I + V diag(2 sinh^2(lambda/2)) V^T: c - I
 then carries the relative digits of its own eigenvalue functions.  Likewise d
 = -(R + V diag(sinh(lambda) - lambda) V^T) keeps R's exact zeros, such as the
-diagonal of a path graph (r, 0, r), to 1e-16 r^3 rather than 1e-16 r.
+diagonal of a path graph (r, 0, r), to 1e-16 r^3 rather than 1e-16 r.  The
+quadrature rows of a weak coupling are built the same way, as
+w + V diag(expm1(-+lambda)) V^T w.
 
 A unitary transform keeps [a_j, a_k+] = delta_jk and [a_j, a_k] = 0;
 ``symplectic_check`` returns how far a coefficient table, or each table of a
@@ -137,11 +139,23 @@ class BogoliubovCoeffs:
         """(exp(-R) w, exp(+R) w) of input weights w: (3,) arrays, (P, 3) for a stack.
 
         Read through the eigenpairs, never as c + d and c - d: at large r those
-        sums cancel cosh(r)-sized entries and keep only absolute digits.
+        sums cancel cosh(r)-sized entries and keep only absolute digits.  A weak
+        coupling (every |lambda| <= 1, so no row falls below w / e) keeps the
+        identity part exact, w + V diag(expm1(-+lambda)) V^T w: eigh's round-off
+        on V V^T would otherwise cost several ulps of w's own entries.  A stronger
+        one takes V diag(exp(-+lambda)) V^T w, whose squeezed rows keep their
+        relative digits where adding w would leave only absolute ones.
         """
-        projected = np.asarray(weights) @ self.eigvecs
-        return tuple((self.eigvecs @ (np.exp(sign * self.eigvals) * projected)[..., None])[..., 0]
-                     for sign in (-1.0, 1.0))
+        weights = np.asarray(weights, dtype=float)
+        projected = weights @ self.eigvecs
+        weak = (np.abs(self.eigvals).max(axis=-1) <= 1.0)[..., None]
+        rows = []
+        for sign in (-1.0, 1.0):
+            exponent = sign * self.eigvals
+            scaled = np.where(weak, np.expm1(exponent), np.exp(exponent)) * projected
+            image = (self.eigvecs @ scaled[..., None])[..., 0]
+            rows.append(np.where(weak, weights + image, image))
+        return tuple(rows)
 
 
 def valid_prefix(triples) -> int:

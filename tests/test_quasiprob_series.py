@@ -12,7 +12,7 @@ and with the closed forms of the single-slot patterns up to n = 10 within
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisqueeze import quasiprob
@@ -67,6 +67,10 @@ def test_small_patterns_match_mpmath(ns, r, s):
     r=st.tuples(*[st.floats(-2.0, 2.0)] * 3),
     s=st.sampled_from([0, -1]),
 )
+# a window sized for 13 photons whose grid misses the |2> peak: the sampled max|W| is
+# 3e-4 of it, so the bound asks for 3e-16 of absolute error
+@example(ns=(2, 5, 6), r=(0.0, 0.0, 0.0), s=0)
+@example(ns=(2, 6, 5), r=(6.561284675474855e-05, 0.0, -5.715533212874598e-05), s=0)
 @settings(max_examples=30, deadline=None)
 def test_every_accepted_input_matches_mpmath(ns, r, s):
     _check_against_mpmath(ns, r, s)

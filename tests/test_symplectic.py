@@ -248,6 +248,22 @@ def test_table_keeps_its_digits_near_zero_coupling(shape):
         assert r_miss <= 1e-13 * np.abs(sinh_minus_r).max(), (triple, r_miss)
 
 
+@pytest.mark.parametrize("triple", [(6.561284675474855e-05, 0.0, -5.715533212874598e-05),
+                                    (-0.009569913949704542, 0.0, 0.008852269372315306),
+                                    (0.3, -0.2, 0.5)])
+def test_weak_coupling_quadrature_rows_keep_their_unit_entry(triple):
+    # exp(-+R) e1 = e1 + O(r); through V diag(exp(-+lambda)) V^T alone, eigh's round-off
+    # on V V^T moved the unit entry by 4.5e-16 to 1.1e-15 on these triples
+    with mpmath.workdps(40):
+        rmat = mpmath.matrix(coupling_matrix(SqueezeParams(*triple)).tolist())
+        exact = [np.array([float(m[j, 0]) for j in range(3)])
+                 for m in (mpmath.expm(-rmat), mpmath.expm(rmat))]
+    rows = bogoliubov_coeffs(SqueezeParams(*triple)).quadrature_rows((1.0, 0.0, 0.0))
+    for got, want in zip(rows, exact):
+        assert abs(got[0] - want[0]) <= 2.3e-16 * want[0], (triple, got, want)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (triple, got, want)
+
+
 def test_tiny_coupling_keeps_photon_correlation_nonnegative():
     # the exact <n_1 n_2> is positive and underflows, so round-off in c must not make it negative
     coeffs = bogoliubov_coeffs(SqueezeParams(1.2439552499366604e-277, 1.2439552499366604e-277, 0.0))
