@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trisqueeze import moments
@@ -479,13 +479,39 @@ def _every_sub_word_tensor(state):
     return np.array([moment(w) for w in words], dtype=complex).reshape(36, 36)
 
 
-# per number mode only the 2 + 6 balanced words of length 2 and 4 are ordered
+# per number mode only the 2 + 6 balanced words of length 2 and 4 are ordered; a
+# coherent mode's 10 odd-length sub-words occur only in words unbalanced on a
+# number mode, which are not visited, so it orders its 20 even-length ones
 @pytest.mark.parametrize("state, sub_words", [
     (InputState.number(1, 1, 1), 1 + 3 * 8),
-    (InputState((NumberState(1), CoherentState(0.3 + 0.1j), NumberState(0))), 1 + 2 * 8 + 30),
+    (InputState((NumberState(1), CoherentState(0.3 + 0.1j), NumberState(0))), 1 + 2 * 8 + 20),
+    (InputState.number(0, 0, 0), 1 + 3 * 8),
+    (InputState.number(2, 0, 1), 1 + 3 * 8),
+    (InputState.number(3, 3, 3), 1 + 3 * 8),
 ])
 def test_number_modes_skip_unbalanced_sub_words(sub_word_lengths, state, sub_words):
     moments._state_tensor.cache_clear()
     tensor = moments._state_tensor(state)
     assert len(sub_word_lengths) == sub_words
     assert tensor.tobytes() == (moments._SYMBOL_SCALE ** 4 * _every_sub_word_tensor(state)).tobytes()
+
+
+mode_states = st.one_of(
+    st.builds(NumberState, st.integers(0, 3)),
+    st.builds(lambda r, phi: CoherentState(complex(r * math.cos(phi), r * math.sin(phi))),
+              st.floats(0.0, 2.0), st.floats(0.0, 2 * math.pi)),
+)
+
+
+@given(modes=st.tuples(mode_states, mode_states, mode_states))
+@example(modes=(CoherentState(-0.4 + 0.2j), NumberState(2), NumberState(1)))
+@settings(max_examples=20, deadline=None)
+def test_state_tensor_matches_every_sub_word_tensor(modes):
+    # by value, since the reference's zeros of unbalanced words may carry a sign;
+    # its unscaled products round a subnormal amplitude part in absolute terms,
+    # which the engine's power-of-two scaling does not, and that is all atol allows
+    state = InputState(modes)
+    moments._state_tensor.cache_clear()
+    reference = moments._SYMBOL_SCALE ** 4 * _every_sub_word_tensor(state)
+    atol = moments._SYMBOL_SCALE ** 4 * 2 ** 10 * np.finfo(float).tiny
+    np.testing.assert_allclose(moments._state_tensor(state), reference, rtol=0, atol=atol)
