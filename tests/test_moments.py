@@ -505,6 +505,7 @@ mode_states = st.one_of(
 
 @given(modes=st.tuples(mode_states, mode_states, mode_states))
 @example(modes=(CoherentState(-0.4 + 0.2j), NumberState(2), NumberState(1)))
+@example(modes=(NumberState(0), NumberState(0), CoherentState(1.5 + 3.337610787760805e-309j)))
 @settings(max_examples=20, deadline=None)
 def test_state_tensor_matches_every_sub_word_tensor(modes):
     # by value, since the reference's zeros of unbalanced words may carry a sign;
