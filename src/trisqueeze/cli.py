@@ -142,7 +142,23 @@ def _emit(args, text):
         return
     out = _resolve_out(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text, encoding="utf-8", newline="")
+    _replace_text(out, text)
+
+
+def _replace_text(path, text):
+    """Write ``text`` to a temporary file beside ``path`` (a plain write's mode) and os.replace it over
+    ``path``, so a failed write leaves the old file whole; a symlink or device is written in place."""
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        path.write_text(text, encoding="utf-8", newline="")
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # the coupling columns r1,r2,r3 of every sweep row
@@ -295,9 +311,7 @@ def cmd_wigner_grid(args):
     payload["method"] = method
     payload["aux"] = dataclasses.asdict(wigner_aux(coeffs, args.s, slot=slot))
     _emit(args, _grid_csv(xs, ys, values))
-    out = _resolve_out(args.out)
-    sidecar = out.with_suffix(".aux.json")
-    sidecar.write_text(_json_text(payload), encoding="utf-8", newline="")
+    _replace_text(_resolve_out(args.out).with_suffix(".aux.json"), _json_text(payload))
 
 
 def cmd_oracle_verify(args):

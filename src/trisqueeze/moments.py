@@ -253,8 +253,6 @@ def g2(coeffs: BogoliubovCoeffs, state: InputState, mode: int):
 
 def cauchy_schwarz(coeffs: BogoliubovCoeffs, state: InputState, j: int, k: int):
     """Cauchy-Schwarz ratio V_jk; negative values are classically forbidden."""
-    if j == k:
-        raise ValueError("Cauchy-Schwarz ratio needs two distinct modes")
     cross = cross_correlation(coeffs, state, j, k)
     intensity = [intensity_correlation(coeffs, state, m) for m in (j, k)]
     return cauchy_schwarz_ratio(*intensity, cross, j, k)

@@ -9,17 +9,17 @@ v1 = zeta*f1 - conj(zeta)*f2 (and g, h analogues).  Writing zeta = u + i*v,
 with tp/tm the s-shifted quadrature widths and A+- the squared eigenpair
 quadrature rows exp(-+R) e1 (``BogoliubovCoeffs.quadrature_rows``).  The
 Fourier transform W(z, s) is evaluated two ways, both exact: a closed Laguerre
-sum for vacuum or a single excited slot (mode 1 or mode 3), and a Hermite
-series for every pattern with n_j <= NUMERIC_N_MAX (``wigner_numeric``).  Both
-reduce to the familiar number-state distribution when all couplings vanish,
-and both take a BogoliubovCoeffs stack of P coupling triples and return a
-stack with a leading P axis.  Against a 60-digit mpmath evaluation the series
-holds 1e-12 of max|W| for n_j <= 6 and |r_j| <= 2.
+sum for a single excited slot (mode 1 or mode 3), with vacuum as its n = 0
+term, and a Hermite series for every pattern with n_j <= NUMERIC_N_MAX
+(``wigner_numeric``).  Both reduce to the familiar number-state distribution
+when all couplings vanish, and both take a BogoliubovCoeffs stack of P
+coupling triples and return a stack with a leading P axis.  Against a 60-digit
+mpmath evaluation the series holds 1e-12 of max|W| for n_j <= 6, |r_j| <= 2.
 
-Closed-form stability note: the Laguerre sum is computed through the
-homogenized polynomials t_k(eta, c) = eta^k L_k^{-1/2}(c/eta), which stay
-finite for eta of any sign, so the excitation corrections eta+- may pass
-through zero without harm.
+One homogenized recurrence t_k = eta^k L_k^gamma(c/eta) serves both: the
+series at eta = 1 (``laguerre``), the closed sum at gamma = -1/2, where t_k
+stays finite for eta of any sign, so the excitation corrections eta+- may
+pass through zero without harm.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _check_ordering(s, allowed=ORDERING_VALUES):
 
 
 def laguerre(k: int, gamma: float, x):
-    """Associated Laguerre polynomial L_k^gamma(x) by the three-term recurrence.
+    """Associated Laguerre polynomial L_k^gamma(x): the homogenized recurrence at eta = 1.
 
     Stable for the moderate degrees used here (k <= 60); the alternating
     factorial sum cancels catastrophically for large x and is kept only as a
@@ -68,25 +68,19 @@ def laguerre(k: int, gamma: float, x):
     if gamma <= -1.0:
         raise ValueError("gamma must exceed -1")
     x = np.asarray(x)
-    x = x.astype(_EXTENDED if x.dtype == _EXTENDED else float)
-    prev = np.ones_like(x)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + gamma - x
-    for i in range(1, k):
-        prev, cur = cur, ((2.0 * i + gamma + 1.0 - x) * cur - (i + gamma) * prev) / (i + 1.0)
-    return cur if cur.ndim else float(cur)
+    out = _scaled_laguerre(k, gamma, 1.0, x.astype(_EXTENDED if x.dtype == _EXTENDED else float))
+    return out if out.ndim else float(out)
 
 
-def _scaled_half_laguerre(k, eta, c):
-    """t_k = eta^k L_k^{-1/2}(c/eta), polynomial in (eta, c); safe for eta <= 0."""
-    c = np.asarray(c, dtype=float)
+def _scaled_laguerre(k, gamma, eta, c):
+    """t_k = eta^k L_k^gamma(c/eta) by the three-term recurrence, a polynomial in (eta, c):
+    finite for eta of any sign, (-c)^k / k! at eta = 0.  The array c sets shape and precision."""
     prev = np.ones_like(c)
     if k == 0:
         return prev
-    cur = 0.5 * eta - c
+    cur = (1.0 + gamma) * eta - c
     for i in range(1, k):
-        prev, cur = cur, (((2.0 * i + 0.5) * eta - c) * cur - (i - 0.5) * eta * eta * prev) / (i + 1.0)
+        prev, cur = cur, (((2.0 * i + gamma + 1.0) * eta - c) * cur - (i + gamma) * eta * eta * prev) / (i + 1.0)
     return cur
 
 
@@ -177,17 +171,8 @@ def wigner_aux(coeffs: BogoliubovCoeffs, s: int, slot: str | None = None) -> Wig
 
 
 def wigner_vacuum(coeffs: BogoliubovCoeffs, z, s: int):
-    """Gaussian quasidistribution of mode 1 for three-mode squeezed vacuum."""
-    aux = wigner_aux(coeffs, s)
-    tp, tm = aux.theta_plus, aux.theta_minus
-    if np.any(tp <= 0.0) or np.any(tm <= 0.0):
-        raise PFunctionSingularError(
-            f"distribution is singular at s={s}: theta = ({tp!r}, {tm!r})"
-        )
-    z = np.asarray(z, dtype=complex)
-    tp, tm = _against(z, tp, tm)
-    out = np.exp(-z.real ** 2 / tp - z.imag ** 2 / tm) / (math.pi * np.sqrt(tp * tm))
-    return out if out.ndim else float(out)
+    """Gaussian quasidistribution of mode 1 for three-mode squeezed vacuum: the n = 0 closed form."""
+    return _closed_form(coeffs, 0, "mode3", z, _check_ordering(s))
 
 
 def wigner_excited(coeffs: BogoliubovCoeffs, n: int, slot: str, z, s: int):
@@ -200,31 +185,33 @@ def wigner_excited(coeffs: BogoliubovCoeffs, n: int, slot: str, z, s: int):
             * sum_m t_m(em/tm, Am y^2/tm^2) t_{n-m}(ep/tp, Ap x^2/tp^2),
 
     with Ap/Am the slot's squared quadrature-row entries, ep/em = A - theta the
-    excitation corrections and t_k the homogenized half-integer Laguerre
-    polynomials.  At zero coupling this reduces to the vacuum Gaussian for
-    slot="mode3" and to the bare number-state distribution for slot="mode1".
+    excitation corrections and t_k(eta, c) = eta^k L_k^{-1/2}(c/eta).  At zero
+    coupling this reduces to the vacuum Gaussian for slot="mode3" and to the
+    bare number-state distribution for slot="mode1".
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if n > EXCITED_N_MAX:
         raise ValueError(f"n = {n} exceeds the closed-form guard {EXCITED_N_MAX}")
-    s = _check_ordering(s, allowed=(-1, 0))
+    return _closed_form(coeffs, n, slot, z, _check_ordering(s, allowed=(-1, 0)))
+
+
+def _closed_form(coeffs, n, slot, z, s):
+    """``wigner_excited``'s sum; refuses theta+- <= 0, which only s = 1 reaches (theta+- >= 1/2 for s <= 0)."""
     aux, a_plus, a_minus = _kernel(coeffs, s, slot)
+    if np.any(np.minimum(aux.theta_plus, aux.theta_minus) <= 0.0):
+        raise PFunctionSingularError(f"distribution is singular at s={s}: "
+                                     f"theta = ({aux.theta_plus!r}, {aux.theta_minus!r})")
     j = _SLOTS[slot]
     z = np.asarray(z, dtype=complex)
     tp, tm, eta_plus, eta_minus, a_plus, a_minus = _against(
-        z, aux.theta_plus, aux.theta_minus, aux.eta_plus, aux.eta_minus,
-        a_plus[..., j], a_minus[..., j],
-    )
-    x2 = z.real ** 2
-    y2 = z.imag ** 2
+        z, aux.theta_plus, aux.theta_minus, aux.eta_plus, aux.eta_minus, a_plus[..., j], a_minus[..., j])
+    x2, y2 = z.real ** 2, z.imag ** 2
     gauss = np.exp(-x2 / tp - y2 / tm)
     acc = np.zeros(z.shape, dtype=float)
     for m in range(n + 1):
-        acc = acc + (
-            _scaled_half_laguerre(m, eta_minus / tm, a_minus * y2 / (tm * tm))
-            * _scaled_half_laguerre(n - m, eta_plus / tp, a_plus * x2 / (tp * tp))
-        )
+        acc = acc + (_scaled_laguerre(m, -0.5, eta_minus / tm, a_minus * y2 / (tm * tm))
+                     * _scaled_laguerre(n - m, -0.5, eta_plus / tp, a_plus * x2 / (tp * tp)))
     out = ((-1.0) ** n / (math.pi * np.sqrt(tp * tm))) * gauss * acc
     return out if out.ndim else float(out)
 

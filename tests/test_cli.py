@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import stat
 import subprocess
 import sys
 
@@ -199,6 +200,77 @@ def test_wigner_grid_sidecar_bytes(tmp_path, state, slot, method):
     }
     text = json.dumps(expected, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "grid.aux.json").read_bytes() == text.encode("utf-8")
+
+
+class _FailingHalfway:
+    """A text file whose write stores half of the text and then fails, as on a full disk."""
+
+    def __init__(self, handle):
+        self.handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, text):
+        self.handle.write(text[:len(text) // 2])
+        self.handle.flush()
+        raise OSError("no space left on device")
+
+
+_GRID = ["wigner-grid", "--state", "n=0,0,1", "--x=-1:1:5", "--y=-1:1:3"]
+
+
+def test_failed_write_keeps_previous_files(tmp_path, monkeypatch):
+    out = tmp_path / "grid.csv"
+    assert run_cli(_GRID + ["--r", "0.3", "--out", str(out)]) == 0
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert sorted(before) == ["grid.aux.json", "grid.csv"]
+    monkeypatch.setattr(cli, "open", lambda *a, **k: _FailingHalfway(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="no space"):
+        run_cli(_GRID + ["--r", "0.6", "--out", str(out)])
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_failed_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    out = tmp_path / "grid.csv"
+    out.write_text("previous\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        run_cli(_GRID + ["--r", "0.3", "--out", str(out)])
+    assert [f.name for f in tmp_path.iterdir()] == ["grid.csv"]
+    assert out.read_text() == "previous\n"
+
+
+def test_rewritten_outputs_are_replaced_whole(tmp_path):
+    # a rerun over longer files leaves the bytes of a fresh run, with a plain write's mode
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "grid.csv"
+    for path in (out, out.with_suffix(".aux.json")):
+        path.write_text("stale\n" * 5000)
+    assert run_cli(_GRID + ["--r", "0.3", "--out", str(fresh)]) == 0
+    assert run_cli(_GRID + ["--r", "0.3", "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.with_suffix(".aux.json").read_bytes() == fresh.with_suffix(".aux.json").read_bytes()
+    plain = tmp_path / "plain.csv"
+    plain.write_text("x\n")
+    assert stat.S_IMODE(fresh.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "fresh.aux.json", "fresh.csv", "grid.aux.json", "grid.csv", "plain.csv"]
+
+
+def test_symlinked_output_is_written_through(tmp_path):
+    fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("stale\n")
+    link.symlink_to(target)
+    assert run_cli(_GRID + ["--r", "0.3", "--out", str(fresh)]) == 0
+    assert run_cli(_GRID + ["--r", "0.3", "--out", str(link)]) == 0
+    assert link.is_symlink() and target.read_bytes() == fresh.read_bytes()
 
 
 def reference_grid_csv(xs, ys, values):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from trisqueeze.moments import QuadratureSelector, quadrature_variances
 from trisqueeze.ladder import InputState, NumberState
 from trisqueeze.quasiprob import (
     PFunctionSingularError,
+    _scaled_laguerre,
     char_fn,
     closed_form_slot,
     fock_limit_wigner,
@@ -92,6 +94,33 @@ def test_laguerre_guards():
 def test_laguerre_addition_identity(m, tau1, tau2, x, y):
     total = sum(laguerre(i, tau1, x) * laguerre(m - i, tau2, y) for i in range(m + 1))
     assert abs(total - laguerre(m, tau1 + tau2 + 1.0, x + y)) < 1e-10
+
+
+def scaled_laguerre_exact(k, gamma, eta, c):
+    """eta^k L_k^gamma(c/eta) = sum_l binom(k + gamma, k - l) (-c)^l eta^(k-l) / l!, in Fractions."""
+    gamma, eta, c = Fraction(gamma), Fraction(eta), Fraction(c)
+    total = Fraction(0)
+    for l in range(k + 1):
+        binom = Fraction(1)
+        for i in range(k - l):
+            binom = binom * (k + gamma - i) / (i + 1)
+        total += binom * (-c) ** l * eta ** (k - l) / math.factorial(l)
+    return total
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5])
+@pytest.mark.parametrize("eta", [1.0, 0.375, 0.0, -0.625, -2.5])
+def test_scaled_laguerre_recurrence_matches_exact_values(gamma, eta):
+    # the one recurrence behind laguerre (eta = 1) and the closed forms (gamma = -1/2) stays
+    # finite through eta = 0, where t_k = (-c)^k / k!
+    cs = np.array([0.0, 0.25, 1.5, -0.75, 3.0, 7.25])
+    for k in range(9):
+        got = _scaled_laguerre(k, gamma, eta, cs)
+        for c, value in zip(cs, got):
+            exact = scaled_laguerre_exact(k, gamma, eta, c)
+            if eta == 0.0:
+                assert exact == Fraction(-c) ** k / math.factorial(k)
+            assert abs(value - float(exact)) <= 1e-14 * max(1.0, abs(float(exact)))
 
 
 def test_char_fn_normalized_at_zero():
@@ -331,6 +360,25 @@ def test_wigner_closed_dispatcher():
     )
     assert wigner_closed(coeffs, (0, 1, 0), 0j, 0) is None
     assert wigner_closed(coeffs, (1, 0, 1), 0j, 0) is None
+    # vacuum alone takes s = 1, and is singular there at zero coupling
+    assert wigner_closed(coeffs, (0, 0, 0), 0.3j, 1) == wigner_vacuum(coeffs, 0.3j, 1)
+    with pytest.raises(PFunctionSingularError):
+        wigner_closed(IDENTITY, (0, 0, 0), 0j, 1)
+    with pytest.raises(ValueError, match="ordering parameter"):
+        wigner_closed(coeffs, (0, 0, 1), 0j, 1)
+
+
+@pytest.mark.parametrize("slot", ["mode1", "mode3"])
+@pytest.mark.parametrize("s", [-1, 0])
+def test_vacuum_is_the_n0_closed_form_bit_for_bit(rng, slot, s):
+    zs = rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(-3.0, 3.0, 12)
+    for coeffs in (bogoliubov_coeffs(SqueezeParams(0.6, -0.8, 1.3)),
+                   bogoliubov_table(rng.uniform(-2.0, 2.0, (4, 3)))):
+        for z in (0.4 - 1.1j, zs):
+            vacuum = wigner_vacuum(coeffs, z, s)
+            excited = wigner_excited(coeffs, 0, slot, z, s)
+            assert type(vacuum) is type(excited)
+            assert np.array_equal(vacuum, excited) and np.shape(vacuum) == np.shape(excited)
 
 
 @pytest.mark.parametrize(
